@@ -50,11 +50,9 @@ class ManagerMode(Enum):
     RECORD = "record"
     REPLAY = "replay"
     REPLAY_WITH_RECORD = "replay+record"
-    FUZZ = "fuzz"
-    IDLE = "idle"
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _out_dir() -> Path:
     env = os.environ.get(ENV_OUT_DIR)
     return Path(env) if env else Path(".")
 
@@ -89,7 +87,7 @@ def _write_text(path: str | None, text: str, args: argparse.Namespace) -> None:
 def cmd_record(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else args.rng_seed
     out = record(args.profile, seed, args.exits, noise_probability=args.noise)
-    base = Path(args.out) if args.out else _out_dir(args) / (
+    base = Path(args.out) if args.out else _out_dir() / (
         f"{args.profile.lower()}_{seed}"
     )
     base.parent.mkdir(parents=True, exist_ok=True)
@@ -217,7 +215,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     config = json.loads(config_path.read_text())
-    out_dir = Path(args.out_dir) if args.out_dir else _out_dir(args)
+    out_dir = Path(args.out_dir) if args.out_dir else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     results = fuzzer.run_config(
         config,
@@ -348,6 +346,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:    # also false for nan
+        raise argparse.ArgumentTypeError("probability must be a finite value in [0, 1]")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # The same flags hang off the main parser and every subparser, so they
     # work on either side of the subcommand. Subparser copies default to
@@ -385,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile", choices=profiles)
     p.add_argument("exits", type=_count)
     p.add_argument("--seed", type=int, help="workload seed (defaults to --rng-seed)")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_probability, default=0.0,
                    help="async interrupt injection probability")
     p.add_argument("--out", help="output basename for .iris and .irisnap")
     p.set_defaults(func=cmd_record)

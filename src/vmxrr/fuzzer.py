@@ -10,7 +10,7 @@ crash found here is a crash of the handler logic, not of the harness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .hypervisor import DispatchResult, ExitOutcome, popcount
@@ -57,11 +57,11 @@ class Mutation:
     bit: int
 
 
-def _area_entries(frame: ExitFrame, area: str):
+def _area_entries(frame: ExitFrame, area: str) -> tuple:
     if area == AREA_VMCS:
-        return frame.read_entries
+        return frame.reads
     if area == AREA_GPR:
-        return frame.gpr_entries
+        return frame.gprs
     raise FuzzError(f"unknown seed area {area!r}")
 
 
@@ -73,17 +73,21 @@ def mutate_random(frame: ExitFrame, area: str, rng: SplitMix64) -> Mutation:
 
 
 def apply_mutation(frame: ExitFrame, mutation: Mutation) -> ExitFrame:
-    """Clone the frame with one bit of one seed value flipped.
+    """Copy the frame with one bit of one seed value flipped. Only the
+    flipped area's tuple is new; the other tuples are shared with the frame.
 
     XOR, so applying the same mutation twice gives back the original.
     """
-    out = frame.clone()
-    entries = _area_entries(out, mutation.area)
-    if not entries:
+    values = list(_area_entries(frame, mutation.area))
+    if not values:
         raise EmptyArea(f"exit seed has no {mutation.area} entries to mutate")
-    entry = entries[mutation.entry_index]
-    entry.value ^= 1 << mutation.bit
-    return out
+    i, flip = mutation.entry_index, 1 << mutation.bit
+    if mutation.area == AREA_GPR:
+        values[i] ^= flip
+        return replace(frame, gprs=tuple(values))
+    encoding, value = values[i]
+    values[i] = (encoding, value ^ flip)
+    return replace(frame, reads=tuple(values))
 
 
 def detect_failure(result: DispatchResult | None) -> str | None:
@@ -396,6 +400,8 @@ def run_config(
     """
     base = Path(base_dir)
     art_root = Path(artifact_root) if artifact_root is not None else base
+    if not isinstance(config, dict):
+        raise CampaignSetupError("config must be a JSON object")
     campaigns = config.get("campaigns")
     if not isinstance(campaigns, list):
         raise CampaignSetupError("config needs a 'campaigns' list")
@@ -403,6 +409,8 @@ def run_config(
     snaps: dict[str, SessionSnapshot] = {}
     results: list[CampaignResult] = []
     for i, job in enumerate(campaigns):
+        if not isinstance(job, dict):
+            raise CampaignSetupError(f"campaign {i} must be a JSON object")
         name = job.get("name", f"campaign{i}")
         for key in ("trace", "snapshot", "select", "area"):
             if key not in job:

@@ -44,13 +44,11 @@ from .vmx import (
     VMX_PREEMPTION_TIMER_VALUE,
     VM_EXIT_INSTRUCTION_LEN,
     VM_EXIT_INTERRUPTION_INFO,
-    CpuMode,
     ExitReason,
     GprFile,
     GprId,
     Vmcs,
     classify_cr0_mode,
-    guest_cr0_view,
     vm_entry_check,
 )
 
@@ -293,20 +291,6 @@ class CoverageBitmap:
         self.union_mask |= mask
         return mask
 
-    def frame_bytes(self) -> bytes:
-        return self.frame_mask.to_bytes(COVERAGE_BYTES, "little")
-
-    @staticmethod
-    def blocks_of(mask: int) -> list[int]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
-
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
@@ -374,8 +358,6 @@ class Hypervisor:
         self.gprs = gprs
         self.cov = CoverageBitmap()
         self.tsc = 0
-        self.vcpu_mode = CpuMode.MODE1
-        self.crash_log: list[CrashInfo] = []
         self._handlers = {
             ExitReason.EXTERNAL_INTERRUPT: self._handle_external_interrupt,
             ExitReason.TRIPLE_FAULT: self._handle_triple_fault,
@@ -411,7 +393,6 @@ class Hypervisor:
         if handler is None:
             hit(B_DISPATCH_UNKNOWN)
             crash = CrashInfo("HypCrash", f"unhandled exit reason {reason}")
-            self.crash_log.append(crash)
             self.tsc += DISPATCH_COST
             return DispatchResult(ExitOutcome.HYP_CRASH, reason, DISPATCH_COST, crash)
         hit(B_DISPATCH_KNOWN)
@@ -421,21 +402,17 @@ class Hypervisor:
         except HypervisorBug as exc:
             self.tsc += base
             crash = CrashInfo("HypCrash", str(exc))
-            self.crash_log.append(crash)
             log.debug("hypervisor crash on reason %d: %s", reason, exc)
             return DispatchResult(ExitOutcome.HYP_CRASH, reason, base, crash)
         self.tsc += base
         if fatal is not None:
             crash = CrashInfo("VmCrash", fatal)
-            self.crash_log.append(crash)
             return DispatchResult(ExitOutcome.VM_CRASH, reason, base, crash)
         violations = vm_entry_check(self.vmcs)
         if violations:
             crash = CrashInfo("VmCrash", violations[0].log)
-            self.crash_log.append(crash)
             log.debug("entry check failed after reason %d: %s", reason, crash.detail)
             return DispatchResult(ExitOutcome.VM_CRASH, reason, base, crash)
-        self.vcpu_mode = classify_cr0_mode(guest_cr0_view(self.vmcs))
         return DispatchResult(ExitOutcome.RESUME, reason, base)
 
     # -- handlers ---------------------------------------------------------------

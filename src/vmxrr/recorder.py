@@ -5,6 +5,11 @@ general-purpose registers saved on exit plus every vmread the handler issued,
 in order. The metrics are the output: the vmwrites, the coverage bitmap, and
 the cycle cost. Replaying the seed must regenerate the metrics.
 
+In memory a seed is a tuple of register values indexed by GprId plus a tuple
+of (field encoding, value) pairs for the reads; the writes are pairs too.
+Flags and the 10-byte entry exist only on disk: trace_to_bytes and
+seed_payload_bytes build them, trace_from_bytes checks and drops them.
+
 Trace container (.iris), all integers little-endian:
 
     magic "IRIS" | version u16 | field_table_hash u64 | initial_cr0 u64 |
@@ -16,7 +21,7 @@ Trace container (.iris), all integers little-endian:
     entry: flag u8 | encoding u8 | value u64            (10 bytes)
 
 Snapshot container (.irisnap) carries resumable session state under the same
-integrity scheme with magic "IRSN".
+integrity scheme with magic "IRSN": every VMCS field, sorted by encoding.
 """
 
 from __future__ import annotations
@@ -55,6 +60,12 @@ _ENTRY = struct.Struct("<BBQ")
 _FRAME_FIXED = struct.Struct("<HBBBQ")
 SEED_ENTRY_SIZE = _ENTRY.size        # 10 bytes
 
+# A snapshot is taken of a powered-on VMCS, so it is never INACTIVE.
+_SNAPSHOT_LAUNCH_STATES = (
+    LaunchState.ACTIVE_CURRENT_CLEAR,
+    LaunchState.ACTIVE_CURRENT_LAUNCHED,
+)
+
 
 class TraceFormatError(Exception):
     pass
@@ -81,47 +92,21 @@ class TraceTruncated(TraceFormatError):
 
 
 @dataclass
-class SeedEntry:
-    flag: int
-    encoding: int
-    value: int
-
-    def pack(self) -> bytes:
-        return _ENTRY.pack(self.flag, self.encoding, self.value)
-
-
-@dataclass
 class ExitFrame:
     reason: int
     cycle_cost: int
     coverage_mask: int
-    gpr_entries: list[SeedEntry] = field(default_factory=list)
-    read_entries: list[SeedEntry] = field(default_factory=list)
-    write_entries: list[SeedEntry] = field(default_factory=list)
+    gprs: tuple[int, ...] = ()                      # indexed by GprId
+    reads: tuple[tuple[int, int], ...] = ()         # (encoding, value), in order
+    writes: tuple[tuple[int, int], ...] = ()
 
     def seed_payload_size(self) -> int:
-        return SEED_ENTRY_SIZE * (len(self.gpr_entries) + len(self.read_entries))
+        return SEED_ENTRY_SIZE * (len(self.gprs) + len(self.reads))
 
     def seed_payload_bytes(self) -> bytes:
-        out = bytearray(self.seed_payload_size())
-        pos = 0
-        for entry in self.gpr_entries:
-            _ENTRY.pack_into(out, pos, entry.flag, entry.encoding, entry.value)
-            pos += SEED_ENTRY_SIZE
-        for entry in self.read_entries:
-            _ENTRY.pack_into(out, pos, entry.flag, entry.encoding, entry.value)
-            pos += SEED_ENTRY_SIZE
+        out = bytearray()
+        _pack_seed(out, self)
         return bytes(out)
-
-    def clone(self) -> "ExitFrame":
-        return ExitFrame(
-            self.reason,
-            self.cycle_cost,
-            self.coverage_mask,
-            [SeedEntry(e.flag, e.encoding, e.value) for e in self.gpr_entries],
-            [SeedEntry(e.flag, e.encoding, e.value) for e in self.read_entries],
-            [SeedEntry(e.flag, e.encoding, e.value) for e in self.write_entries],
-        )
 
 
 @dataclass
@@ -145,6 +130,14 @@ def _pack_str(s: str) -> bytes:
     return bytes([len(raw)]) + raw
 
 
+def _pack_seed(out: bytearray, frame: ExitFrame) -> None:
+    pack = _ENTRY.pack
+    for idx, value in enumerate(frame.gprs):
+        out += pack(FLAG_GPR, idx, value)
+    for encoding, value in frame.reads:
+        out += pack(FLAG_VMCS_READ, encoding, value)
+
+
 def trace_to_bytes(trace: Trace) -> bytes:
     out = bytearray()
     out += TRACE_MAGIC
@@ -155,21 +148,19 @@ def trace_to_bytes(trace: Trace) -> bytes:
     out += _pack_str(trace.rng_algorithm)
     out += _pack_str(trace.profile)
     out += struct.pack("<I", len(trace.frames))
+    pack = _ENTRY.pack
     for frame in trace.frames:
         out += _FRAME_FIXED.pack(
             frame.reason,
-            len(frame.gpr_entries),
-            len(frame.read_entries),
-            len(frame.write_entries),
+            len(frame.gprs),
+            len(frame.reads),
+            len(frame.writes),
             frame.cycle_cost,
         )
         out += frame.coverage_mask.to_bytes(COVERAGE_BYTES, "little")
-        for entry in frame.gpr_entries:
-            out += entry.pack()
-        for entry in frame.read_entries:
-            out += entry.pack()
-        for entry in frame.write_entries:
-            out += entry.pack()
+        _pack_seed(out, frame)
+        for encoding, value in frame.writes:
+            out += pack(FLAG_VMCS_WRITE, encoding, value)
     out += struct.pack("<Q", fnv1a64(bytes(out)))
     return bytes(out)
 
@@ -219,18 +210,32 @@ def _check_envelope(data: bytes, magic: bytes, what: str) -> bytes:
     return body
 
 
-def _parse_entry(cur: _Cursor, counts_gprs: bool) -> SeedEntry:
-    flag, encoding, value = _ENTRY.unpack(cur.take(SEED_ENTRY_SIZE))
+def _flag_error(flag: int) -> TraceFormatError:
     if flag not in _VALID_FLAGS:
-        raise TraceFormatError(f"bad seed entry flag {flag:#x}")
-    if flag == FLAG_GPR:
-        if encoding >= GPR_COUNT:
-            raise TraceFormatError(f"gpr entry encoding {encoding} out of range")
-    elif encoding not in FIELD_TABLE:
-        raise TraceFormatError(f"seed entry field encoding {encoding} unknown")
-    if counts_gprs != (flag == FLAG_GPR):
-        raise TraceFormatError("seed entry flag does not match its section")
-    return SeedEntry(flag, encoding, value)
+        return TraceFormatError(f"bad seed entry flag {flag:#x}")
+    return TraceFormatError(f"seed entry flag {flag:#x} does not match its section")
+
+
+def _parse_gprs(block: bytes) -> tuple[int, ...]:
+    values = []
+    for idx, (flag, encoding, value) in enumerate(_ENTRY.iter_unpack(block)):
+        if flag != FLAG_GPR:
+            raise _flag_error(flag)
+        if encoding != idx:
+            raise TraceFormatError(f"gpr entry {idx} carries encoding {encoding}")
+        values.append(value)
+    return tuple(values)
+
+
+def _parse_fields(block: bytes, section_flag: int) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for flag, encoding, value in _ENTRY.iter_unpack(block):
+        if flag != section_flag:
+            raise _flag_error(flag)
+        if encoding not in FIELD_TABLE:
+            raise TraceFormatError(f"seed entry field encoding {encoding} unknown")
+        pairs.append((encoding, value))
+    return tuple(pairs)
 
 
 def trace_from_bytes(data: bytes) -> Trace:
@@ -256,9 +261,9 @@ def trace_from_bytes(data: bytes) -> Trace:
         if n_gpr != GPR_COUNT:
             raise TraceFormatError(f"frame carries {n_gpr} gpr entries, expected {GPR_COUNT}")
         coverage = int.from_bytes(cur.take(COVERAGE_BYTES), "little")
-        gprs = [_parse_entry(cur, True) for _ in range(n_gpr)]
-        reads = [_parse_entry(cur, False) for _ in range(n_read)]
-        writes = [_parse_entry(cur, False) for _ in range(n_write)]
+        gprs = _parse_gprs(cur.take(n_gpr * SEED_ENTRY_SIZE))
+        reads = _parse_fields(cur.take(n_read * SEED_ENTRY_SIZE), FLAG_VMCS_READ)
+        writes = _parse_fields(cur.take(n_write * SEED_ENTRY_SIZE), FLAG_VMCS_WRITE)
         frames.append(ExitFrame(reason, cycle_cost, coverage, gprs, reads, writes))
     if cur.pos != len(body):
         raise TraceCorrupt(f"{len(body) - cur.pos} trailing bytes after last frame")
@@ -305,7 +310,7 @@ def snapshot_from_bytes(data: bytes) -> SessionSnapshot:
             f"snapshot field table {table_hash:#x} differs from {FIELD_TABLE_HASH:#x}"
         )
     launch = cur.u8()
-    if launch not in (0, 1, 2):
+    if launch not in _SNAPSHOT_LAUNCH_STATES:
         raise TraceFormatError(f"bad launch state {launch}")
     tsc = cur.u64()
     virtual_clock = cur.u64()
@@ -318,6 +323,9 @@ def snapshot_from_bytes(data: bytes) -> SessionSnapshot:
         if enc not in FIELD_TABLE:
             raise TraceFormatError(f"snapshot field encoding {enc} unknown")
         values[enc] = cur.u64()
+    missing = FIELD_TABLE.keys() - values.keys()
+    if missing:
+        raise TraceFormatError(f"snapshot lacks field {FIELD_TABLE[min(missing)].name}")
     if cur.pos != len(body):
         raise TraceCorrupt(f"{len(body) - cur.pos} trailing bytes in snapshot")
     return SessionSnapshot(
@@ -354,9 +362,9 @@ class Recorder:
         self.initial_cr0 = 0
         self.frames: list[ExitFrame] = []
         self._session: Session | None = None
-        self._gpr_snapshot: list[int] = []
-        self._reads: list[SeedEntry] = []
-        self._writes: list[SeedEntry] = []
+        self._gpr_snapshot: tuple[int, ...] = ()
+        self._reads: list[tuple[int, int]] = []
+        self._writes: list[tuple[int, int]] = []
 
     def attach(self, session: Session) -> None:
         if session.recorder is not None:
@@ -378,26 +386,23 @@ class Recorder:
         self._session = None
 
     def _on_read(self, encoding: int, value: int) -> None:
-        self._reads.append(SeedEntry(FLAG_VMCS_READ, encoding, value))
+        self._reads.append((encoding, value))
 
     def _on_write(self, encoding: int, value: int) -> None:
-        self._writes.append(SeedEntry(FLAG_VMCS_WRITE, encoding, value))
+        self._writes.append((encoding, value))
 
-    def begin_exit(self, reason: int) -> None:
-        self._gpr_snapshot = list(self._session.vm.gprs.regs)
+    def begin_exit(self) -> None:
+        self._gpr_snapshot = tuple(self._session.vm.gprs.regs)
         self._reads = []
         self._writes = []
 
     def end_exit(self, result: DispatchResult, frame_mask: int, cycle_cost: int) -> None:
-        gprs = [
-            SeedEntry(FLAG_GPR, idx, value)
-            for idx, value in enumerate(self._gpr_snapshot)
-        ]
         self.frames.append(
-            ExitFrame(result.reason, cycle_cost, frame_mask, gprs, self._reads, self._writes)
+            ExitFrame(
+                result.reason, cycle_cost, frame_mask, self._gpr_snapshot,
+                tuple(self._reads), tuple(self._writes),
+            )
         )
-        self._reads = []
-        self._writes = []
 
     def to_trace(self) -> Trace:
         return Trace(self.profile, self.workload_seed, self.initial_cr0, self.frames)

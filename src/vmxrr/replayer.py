@@ -28,13 +28,7 @@ from .hypervisor import (
     OTHER_HANDLER_COST,
     popcount,
 )
-from .recorder import (
-    ExitFrame,
-    FLAG_GPR,
-    FLAG_VMCS_READ,
-    Trace,
-    record,
-)
+from .recorder import ExitFrame, Trace, record
 from .session import (
     CYCLES_PER_SECOND,
     REFERENCE_EXITS_PER_SECOND,
@@ -49,6 +43,7 @@ from .vmx import (
     CpuMode,
     ExitReason,
     classify_cr0_mode,
+    reason_name,
 )
 
 ASYNC_MASK = sum(1 << b for b in ASYNC_BLOCKS)
@@ -130,27 +125,21 @@ class Replayer:
         return queue.popleft()
 
     def inject_seed(self, frame: ExitFrame) -> None:
-        if len(frame.gpr_entries) != GPR_COUNT:
+        if len(frame.gprs) != GPR_COUNT:
             raise InvalidSeed(
-                f"seed carries {len(frame.gpr_entries)} registers, expected {GPR_COUNT}"
+                f"seed carries {len(frame.gprs)} registers, expected {GPR_COUNT}"
             )
-        gprs = self.session.vm.gprs
-        for entry in frame.gpr_entries:
-            if entry.flag != FLAG_GPR or entry.encoding >= GPR_COUNT:
-                raise InvalidSeed(f"bad gpr entry {entry}")
-            gprs.write(entry.encoding, entry.value)
+        self.session.vm.gprs.regs = list(frame.gprs)
         self.queues.clear()
         vmcs = self.session.vm.vmcs
-        for entry in frame.read_entries:
-            if entry.flag != FLAG_VMCS_READ:
-                raise InvalidSeed(f"bad read entry {entry}")
-            spec = FIELD_TABLE.get(entry.encoding)
+        for encoding, value in frame.reads:
+            spec = FIELD_TABLE.get(encoding)
             if spec is None:
-                raise InvalidSeed(f"read entry for unknown field {entry.encoding}")
+                raise InvalidSeed(f"read entry for unknown field {encoding}")
             if spec.access is FieldAccess.READ_ONLY:
-                self.queues.setdefault(entry.encoding, deque()).append(entry.value)
+                self.queues.setdefault(encoding, deque()).append(value)
             else:
-                vmcs.hw_set(entry.encoding, entry.value)
+                vmcs.hw_set(encoding, value)
 
     def replay_frame(self, frame: ExitFrame, index: int = 0) -> FrameReplay:
         self.inject_seed(frame)
@@ -183,7 +172,7 @@ class Replayer:
         self.queues.clear()
         self.session.total_exits += 1
 
-        recorded = [(e.encoding, e.value) for e in frame.write_entries]
+        recorded = frame.writes
         matched = 0
         for pos, (rec, rep) in enumerate(zip(recorded, writes)):
             if rec == rep:
@@ -269,13 +258,6 @@ class AccuracyReport:
     fitting_curve: list[float]
 
 
-def _reason_name(reason: int) -> str:
-    try:
-        return ExitReason(reason).name
-    except ValueError:
-        return f"REASON_{reason}"
-
-
 def compute_accuracy(result: ReplayResult) -> AccuracyReport:
     rec_union = result.recorded_union
     rep_union = result.replayed_union
@@ -299,7 +281,7 @@ def compute_accuracy(result: ReplayResult) -> AccuracyReport:
         noise_filtered += popcount(noise_bits)
         diffs_total += filtered
         if filtered:
-            name = _reason_name(reason)
+            name = reason_name(reason)
             diffs_by_reason[name] = diffs_by_reason.get(name, 0) + filtered
         rec_cum |= rec_mask
         rep_cum |= rep_mask
@@ -337,11 +319,7 @@ def cr0_mode_trajectory(initial_cr0: int, writes) -> list[CpuMode]:
 
 
 def trajectory_of_trace(trace: Trace) -> list[CpuMode]:
-    writes = (
-        (e.encoding, e.value)
-        for frame in trace.frames
-        for e in frame.write_entries
-    )
+    writes = (w for frame in trace.frames for w in frame.writes)
     return cr0_mode_trajectory(trace.initial_cr0, writes)
 
 

@@ -9,16 +9,9 @@ self-contained SVG line chart.
 from __future__ import annotations
 
 from .recorder import Trace
-from .vmx import ExitReason, classify_cr0_mode, GUEST_CR0
+from .vmx import ExitReason, classify_cr0_mode, GUEST_CR0, reason_name
 
 HIST_BAR_WIDTH = 40
-
-
-def _reason_name(reason: int) -> str:
-    try:
-        return ExitReason(reason).name
-    except ValueError:
-        return f"REASON_{reason}"
 
 
 def _reason_code(name: str) -> int:
@@ -55,7 +48,7 @@ def _csv(headers: list[str], rows: list[list[str]]) -> str:
 def reason_histogram(trace: Trace) -> list[tuple[str, int]]:
     counts: dict[str, int] = {}
     for frame in trace.frames:
-        name = _reason_name(frame.reason)
+        name = reason_name(frame.reason)
         counts[name] = counts.get(name, 0) + 1
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
@@ -84,10 +77,10 @@ def mode_timeline(trace: Trace) -> list[tuple[int, str]]:
     mode = classify_cr0_mode(trace.initial_cr0)
     timeline = [(-1, mode.name)]
     for i, frame in enumerate(trace.frames):
-        for entry in frame.write_entries:
-            if entry.encoding != GUEST_CR0:
+        for encoding, value in frame.writes:
+            if encoding != GUEST_CR0:
                 continue
-            nxt = classify_cr0_mode(entry.value)
+            nxt = classify_cr0_mode(value)
             if nxt is not mode:
                 mode = nxt
                 timeline.append((i, mode.name))

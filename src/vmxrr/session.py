@@ -26,8 +26,6 @@ from .vmx import (
     ExitReason,
     LaunchState,
     VM_EXIT_INTERRUPTION_INFO,
-    classify_cr0_mode,
-    guest_cr0_view,
 )
 
 CYCLES_PER_SECOND = 3_500_000_000
@@ -99,7 +97,6 @@ class Session:
 
     def power_on(self) -> None:
         self.vm.power_on()
-        self.hyp.vcpu_mode = classify_cr0_mode(guest_cr0_view(self.vm.vmcs))
 
     def auto_boot(self, seed: int) -> None:
         """Bring a non-boot workload's guest to protected-paged mode.
@@ -118,7 +115,7 @@ class Session:
         self.vm.raise_exit(op)
         rec = self.recorder
         if rec is not None:
-            rec.begin_exit(op.reason)
+            rec.begin_exit()
         self.hyp.cov.begin_frame()
         if async_block is not None:
             self.hyp.cov.hit(async_block)
@@ -173,7 +170,6 @@ class Session:
         self.hyp.cov.frame_mask = 0
         self.virtual_clock = snap.virtual_clock
         self.total_exits = snap.total_exits
-        self.hyp.vcpu_mode = classify_cr0_mode(guest_cr0_view(self.vm.vmcs))
 
 
 def prepare_session(profile_name: str, workload_seed: int, n_exits: int) -> tuple[Session, GuestProgram]:

@@ -59,6 +59,13 @@ class ExitReason(IntEnum):
     PREEMPTION_TIMER = 52
 
 
+def reason_name(reason: int) -> str:
+    try:
+        return ExitReason(reason).name
+    except ValueError:
+        return f"REASON_{reason}"
+
+
 class FieldArea(Enum):
     GUEST_STATE = "GuestState"
     HOST_STATE = "HostState"
@@ -201,11 +208,6 @@ def _build_field_table() -> dict[int, VmcsFieldSpec]:
 
 
 FIELD_TABLE: dict[int, VmcsFieldSpec] = _build_field_table()
-FIELD_BY_NAME: dict[str, VmcsFieldSpec] = {s.name: s for s in FIELD_TABLE.values()}
-
-
-def is_read_only(encoding: int) -> bool:
-    return FIELD_TABLE[encoding].access is FieldAccess.READ_ONLY
 
 
 # ---------------------------------------------------------------------------

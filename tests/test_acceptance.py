@@ -27,15 +27,11 @@ from vmxrr.hypervisor import (
     recording_overhead,
 )
 from vmxrr.recorder import (
-    FLAG_GPR,
-    FLAG_VMCS_READ,
-    FLAG_VMCS_WRITE,
     SEED_ENTRY_SIZE,
     BadMagic,
     BadVersion,
     ExitFrame,
     FieldTableMismatch,
-    SeedEntry,
     Trace,
     record,
     trace_from_bytes,
@@ -80,18 +76,18 @@ def _recorded(profile, noise=0.0):
 def test_c01_seed_payload_size_law():
     t0 = time.monotonic()
     assert SEED_ENTRY_SIZE == 10
-    gprs = [SeedEntry(FLAG_GPR, i, i * 0x1111) for i in range(15)]
+    gprs = tuple(i * 0x1111 for i in range(15))
     for k in range(1, 33):
-        reads = [SeedEntry(FLAG_VMCS_READ, GUEST_RIP, j) for j in range(k)]
-        frame = ExitFrame(16, 3500, 0, list(gprs), reads, [])
+        reads = tuple((GUEST_RIP, j) for j in range(k))
+        frame = ExitFrame(16, 3500, 0, gprs, reads, ())
         payload = frame.seed_payload_bytes()
         assert len(payload) == 10 * (15 + k)
         if k == 32:
             assert len(payload) == 470
     # Recorded frames obey the same law: 15 GPRs plus one entry per VMREAD.
     for frame in _recorded("CpuBound").trace.frames[:50]:
-        assert len(frame.gpr_entries) == 15
-        assert len(frame.seed_payload_bytes()) == 10 * (15 + len(frame.read_entries))
+        assert len(frame.gprs) == 15
+        assert len(frame.seed_payload_bytes()) == 10 * (15 + len(frame.reads))
     assert time.monotonic() - t0 < 1.0
 
 
@@ -247,8 +243,8 @@ def test_c09_fuzzer_crash_classes(tmp_path):
     index = find_frame(out.trace, {"first_of_reason": "CR_ACCESS"})
     frame = out.trace.frames[index]
     qual_pos = next(
-        i for i, e in enumerate(frame.read_entries)
-        if e.encoding == EXIT_QUALIFICATION
+        i for i, (encoding, _) in enumerate(frame.reads)
+        if encoding == EXIT_QUALIFICATION
     )
     result = run_test_case(
         out.trace,
@@ -284,15 +280,13 @@ def _random_trace(rng):
     letters = "abcdefghijklmnopqrstuvwxyz_0123456789"
     frames = []
     for _ in range(rng.below(8)):
-        gprs = [SeedEntry(FLAG_GPR, i, rng.next_u64()) for i in range(15)]
-        reads = [
-            SeedEntry(FLAG_VMCS_READ, rng.choice(encodings), rng.next_u64())
-            for _ in range(rng.below(6))
-        ]
-        writes = [
-            SeedEntry(FLAG_VMCS_WRITE, rng.choice(encodings), rng.next_u64())
-            for _ in range(rng.below(4))
-        ]
+        gprs = tuple(rng.next_u64() for _ in range(15))
+        reads = tuple(
+            (rng.choice(encodings), rng.next_u64()) for _ in range(rng.below(6))
+        )
+        writes = tuple(
+            (rng.choice(encodings), rng.next_u64()) for _ in range(rng.below(4))
+        )
         coverage = (
             rng.next_u64()
             | rng.next_u64() << 64

@@ -182,6 +182,16 @@ def test_negative_exit_count_is_a_usage_error(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("noise", ["1.5", "-1", "nan"])
+def test_noise_outside_zero_to_one_is_a_usage_error(noise, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        entry(["record", "CpuBound", "10", "--noise", noise,
+               "--out", str(tmp_path / "cpu")])
+    assert exc.value.code == EXIT_USAGE
+    assert "probability" in capsys.readouterr().err
+    assert not (tmp_path / "cpu.iris").exists()
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         entry([])
@@ -291,6 +301,17 @@ def test_fuzz_bad_config_is_a_format_error(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert entry(["fuzz", str(empty), "--out-dir", str(tmp_path)]) == EXIT_FORMAT
+
+
+@pytest.mark.parametrize(
+    "config", [[], "campaigns", {"campaigns": [[]]}], ids=["list", "string", "list-item"],
+)
+def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    status = entry(["fuzz", str(path), "--out-dir", str(tmp_path)])
+    assert status == EXIT_FORMAT
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

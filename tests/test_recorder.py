@@ -14,7 +14,6 @@ from vmxrr.recorder import (
     ExitFrame,
     FieldTableMismatch,
     Recorder,
-    SeedEntry,
     Trace,
     TraceCorrupt,
     TraceFormatError,
@@ -29,13 +28,14 @@ from vmxrr.recorder import (
     trace_from_bytes,
     trace_to_bytes,
 )
-from vmxrr.session import prepare_session
+from vmxrr.session import SessionSnapshot, prepare_session
 from vmxrr.vmx import (
     CR0_ET,
     CR0_PE,
     CR0_PG,
     GUEST_CS_SELECTOR,
     GUEST_GDTR_LIMIT,
+    GUEST_RIP,
     ExitReason,
     fnv1a64,
 )
@@ -80,8 +80,8 @@ def _mutate(data: bytes, offset: int, value: int) -> bytes:
 # ---------------------------------------------------------------------------
 
 def test_seed_entry_is_ten_bytes():
-    entry = SeedEntry(FLAG_VMCS_READ, 7, 0x1122334455667788)
-    packed = entry.pack()
+    frame = ExitFrame(int(ExitReason.RDTSC), 0, 0, reads=((7, 0x1122334455667788),))
+    packed = frame.seed_payload_bytes()
     assert SEED_ENTRY_SIZE == 10
     assert len(packed) == 10
     assert packed == struct.pack("<BBQ", 0x02, 7, 0x1122334455667788)
@@ -94,8 +94,8 @@ def test_seed_payload_size_law():
             int(ExitReason.RDTSC),
             0,
             0,
-            [SeedEntry(FLAG_GPR, i, 0) for i in range(15)],
-            [SeedEntry(FLAG_VMCS_READ, 100, 0) for _ in range(k)],
+            (0,) * 15,
+            ((100, 0),) * k,
         )
         assert frame.seed_payload_size() == 10 * (15 + k)
         assert len(frame.seed_payload_bytes()) == 10 * (15 + k)
@@ -106,24 +106,21 @@ def test_recorded_frames_obey_the_payload_law():
     trace = _outcome().trace
     assert len(trace.frames) == 120
     for frame in trace.frames:
-        assert len(frame.gpr_entries) == 15
-        assert [e.encoding for e in frame.gpr_entries] == list(range(15))
-        assert all(e.flag == FLAG_GPR for e in frame.gpr_entries)
-        assert all(e.flag == FLAG_VMCS_READ for e in frame.read_entries)
-        assert all(e.flag == FLAG_VMCS_WRITE for e in frame.write_entries)
-        assert len(frame.read_entries) >= 1     # dispatch reads the exit reason
-        assert frame.seed_payload_size() == 10 * (15 + len(frame.read_entries))
+        assert len(frame.gprs) == 15
+        assert len(frame.reads) >= 1     # dispatch reads the exit reason
+        assert frame.seed_payload_size() == 10 * (15 + len(frame.reads))
         payload = frame.seed_payload_bytes()
         assert payload == b"".join(
-            e.pack() for e in frame.gpr_entries + frame.read_entries
+            [struct.pack("<BBQ", FLAG_GPR, i, v) for i, v in enumerate(frame.gprs)]
+            + [struct.pack("<BBQ", FLAG_VMCS_READ, e, v) for e, v in frame.reads]
         )
 
 
-def test_entry_checks_leave_no_read_entries():
+def test_entry_checks_leave_no_reads():
     # Validity checks run on the hardware path; selector and GDTR fields
     # would show up in every frame if they went through vmread.
     for frame in _outcome().trace.frames:
-        encodings = {e.encoding for e in frame.read_entries}
+        encodings = {encoding for encoding, _ in frame.reads}
         assert GUEST_CS_SELECTOR not in encodings
         assert GUEST_GDTR_LIMIT not in encodings
 
@@ -241,6 +238,18 @@ def test_entry_flag_must_match_its_section():
     first_entry = _header_size(_outcome().trace) + _FRAME_FIXED_SIZE + _COVERAGE_SIZE
     with pytest.raises(TraceFormatError, match="section"):
         trace_from_bytes(_mutate(data, first_entry, FLAG_VMCS_READ))
+    first_read = first_entry + 15 * SEED_ENTRY_SIZE
+    with pytest.raises(TraceFormatError, match="section"):
+        trace_from_bytes(_mutate(data, first_read, FLAG_VMCS_WRITE))
+
+
+def test_gpr_encodings_must_be_in_register_order():
+    data = bytearray(_trace_bytes())
+    first_entry = _header_size(_outcome().trace) + _FRAME_FIXED_SIZE + _COVERAGE_SIZE
+    data[first_entry + 1] = 1                      # RAX's slot claims RCX
+    data[first_entry + SEED_ENTRY_SIZE + 1] = 0    # and RCX's slot claims RAX
+    with pytest.raises(TraceFormatError, match="gpr entry 0 carries encoding 1"):
+        trace_from_bytes(_rehash(bytes(data)))
 
 
 def test_unknown_field_encoding_is_rejected():
@@ -257,6 +266,20 @@ def test_snapshot_bad_launch_state():
     data = snapshot_to_bytes(_outcome().start_snapshot)
     with pytest.raises(TraceFormatError, match="launch state"):
         snapshot_from_bytes(_mutate(data, 4 + 2 + 8, 7))
+    with pytest.raises(TraceFormatError, match="launch state"):
+        snapshot_from_bytes(_mutate(data, 4 + 2 + 8, 0))
+
+
+def test_snapshot_missing_a_field_is_rejected():
+    snap = _outcome().start_snapshot
+    values = dict(snap.vmcs_values)
+    del values[GUEST_RIP]
+    partial = SessionSnapshot(
+        values, snap.launch_state, snap.gprs, snap.tsc, snap.coverage_union,
+        snap.virtual_clock, snap.total_exits,
+    )
+    with pytest.raises(TraceFormatError, match="lacks field GUEST_RIP"):
+        snapshot_from_bytes(snapshot_to_bytes(partial))
 
 
 def test_overlong_profile_name_is_rejected():

@@ -1,16 +1,11 @@
 """Replay mechanics: seed injection, divergences, accuracy, throughput."""
 
+from dataclasses import replace
+
 import pytest
 
 from vmxrr.hypervisor import base_exit_cost, popcount
-from vmxrr.recorder import (
-    FLAG_GPR,
-    FLAG_VMCS_READ,
-    FLAG_VMCS_WRITE,
-    ExitFrame,
-    SeedEntry,
-    record,
-)
+from vmxrr.recorder import ExitFrame, record
 from vmxrr.replayer import (
     ASYNC_MASK,
     IDEAL_COVERAGE_MASK,
@@ -93,7 +88,7 @@ def test_replay_clock_counts_base_costs_only():
 # ---------------------------------------------------------------------------
 
 def _gpr_seed():
-    return [SeedEntry(FLAG_GPR, i, i * 10) for i in range(15)]
+    return tuple(i * 10 for i in range(15))
 
 
 def test_inject_seed_routes_fields_by_access():
@@ -101,11 +96,7 @@ def test_inject_seed_routes_fields_by_access():
     frame = ExitFrame(
         int(ExitReason.RDTSC), 0, 0,
         _gpr_seed(),
-        [
-            SeedEntry(FLAG_VMCS_READ, EXIT_REASON, 5),
-            SeedEntry(FLAG_VMCS_READ, EXIT_REASON, 7),
-            SeedEntry(FLAG_VMCS_READ, GUEST_RIP, 0x42),
-        ],
+        ((EXIT_REASON, 5), (EXIT_REASON, 7), (GUEST_RIP, 0x42)),
     )
     rep.inject_seed(frame)
     vmcs = rep.session.vm.vmcs
@@ -122,22 +113,12 @@ def test_inject_seed_validates_the_register_block():
     rep = Replayer()
     with pytest.raises(InvalidSeed, match="expected 15"):
         rep.inject_seed(ExitFrame(16, 0, 0, _gpr_seed()[:14]))
-    bad_flag = _gpr_seed()
-    bad_flag[0] = SeedEntry(FLAG_VMCS_READ, 0, 0)
-    with pytest.raises(InvalidSeed, match="bad gpr entry"):
-        rep.inject_seed(ExitFrame(16, 0, 0, bad_flag))
 
 
-def test_inject_seed_validates_read_entries():
+def test_inject_seed_validates_the_reads():
     rep = Replayer()
-    with pytest.raises(InvalidSeed, match="bad read entry"):
-        rep.inject_seed(ExitFrame(
-            16, 0, 0, _gpr_seed(), [SeedEntry(FLAG_VMCS_WRITE, EXIT_REASON, 1)],
-        ))
     with pytest.raises(InvalidSeed, match="unknown field"):
-        rep.inject_seed(ExitFrame(
-            16, 0, 0, _gpr_seed(), [SeedEntry(FLAG_VMCS_READ, 146, 1)],
-        ))
+        rep.inject_seed(ExitFrame(16, 0, 0, _gpr_seed(), ((146, 1),)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +131,8 @@ def _first_rdtsc(trace):
 
 def test_missing_read_aborts_with_underflow():
     outcome = _recorded()
-    frame = _first_rdtsc(outcome.trace).clone()
-    frame.read_entries.pop()
+    frame = _first_rdtsc(outcome.trace)
+    frame = replace(frame, reads=frame.reads[:-1])
     rep = Replayer(outcome.start_snapshot)
     fr = rep.replay_frame(frame, index=3)
     assert fr.aborted
@@ -163,8 +144,8 @@ def test_missing_read_aborts_with_underflow():
 
 def test_extra_read_reports_leftover():
     outcome = _recorded()
-    frame = _first_rdtsc(outcome.trace).clone()
-    frame.read_entries.append(SeedEntry(FLAG_VMCS_READ, EXIT_REASON, 99))
+    frame = _first_rdtsc(outcome.trace)
+    frame = replace(frame, reads=frame.reads + ((EXIT_REASON, 99),))
     rep = Replayer(outcome.start_snapshot)
     fr = rep.replay_frame(frame)
     assert not fr.aborted
@@ -176,9 +157,10 @@ def test_extra_read_reports_leftover():
 
 def test_mismatched_write_value_is_reported():
     outcome = _recorded()
-    frame = _first_rdtsc(outcome.trace).clone()
-    assert frame.write_entries, "rdtsc must advance the instruction pointer"
-    frame.write_entries[0].value ^= 1 << 4
+    frame = _first_rdtsc(outcome.trace)
+    assert frame.writes, "rdtsc must advance the instruction pointer"
+    (encoding, value), *rest = frame.writes
+    frame = replace(frame, writes=((encoding, value ^ 1 << 4), *rest))
     rep = Replayer(outcome.start_snapshot)
     fr = rep.replay_frame(frame)
     div = next(d for d in fr.divergences if d.kind == "write_value")
@@ -188,20 +170,20 @@ def test_mismatched_write_value_is_reported():
 
 def test_missing_write_is_a_count_divergence():
     outcome = _recorded()
-    frame = _first_rdtsc(outcome.trace).clone()
-    dropped = frame.write_entries.pop()
+    frame = _first_rdtsc(outcome.trace)
+    *kept, dropped = frame.writes
     rep = Replayer(outcome.start_snapshot)
-    fr = rep.replay_frame(frame)
+    fr = rep.replay_frame(replace(frame, writes=tuple(kept)))
     assert any(d.kind == "write_count" for d in fr.divergences)
-    assert dropped.flag == FLAG_VMCS_WRITE
+    assert fr.writes[-1] == dropped
 
 
 def test_strict_replay_raises_on_divergence():
     outcome = _recorded()
     trace = outcome.trace
-    doctored = trace.frames[0].clone()
-    doctored.read_entries.append(SeedEntry(FLAG_VMCS_READ, EXIT_REASON, 1))
-    frames = [doctored] + [f.clone() for f in trace.frames[1:]]
+    first = trace.frames[0]
+    doctored = replace(first, reads=first.reads + ((EXIT_REASON, 1),))
+    frames = [doctored] + trace.frames[1:]
     bad = type(trace)(
         trace.profile, trace.workload_seed, trace.initial_cr0, frames,
     )
