@@ -1,10 +1,14 @@
 """Single-bit-flip mutation campaigns over recorded exits.
 
 A test case picks one exit of a trace, replays the prefix to reach the state
-just before it, snapshots that state, and then replays M mutated copies of
+just before it, snapshots that state, and then evaluates M mutated copies of
 the exit's seed from the same snapshot. Mutating the injected inputs instead
 of the live guest means every mutant starts from bit-identical state, so a
 crash found here is a crash of the handler logic, not of the harness.
+
+So a mutant's outcome depends only on the bit it flips: each distinct flip is
+replayed once, and repeat draws are counted from its stored outcome. The
+results and artifacts are those of replaying every mutant.
 """
 
 from __future__ import annotations
@@ -232,27 +236,36 @@ def run_test_case(
     divergence_kinds: dict[str, int] = {}
     crashes: list[CrashRecord] = []
     seen: dict[tuple[str, str], CrashRecord] = {}
+    # (entry_index, bit) -> (coverage mask, crash kind, detail, divergence kinds)
+    outcomes: dict[tuple[int, int], tuple] = {}
 
     for m in range(mutants):
-        session.restore(base_state)
         mutation = mutate_random(target, area, rng)
-        fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
-        campaign_mask |= fr.coverage_mask
-        kind = detect_failure(fr.result)
+        key = (mutation.entry_index, mutation.bit)
+        outcome = outcomes.get(key)
+        if outcome is None:
+            session.restore(base_state)
+            fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
+            outcome = outcomes[key] = (
+                fr.coverage_mask, detect_failure(fr.result), _crash_detail(fr),
+                tuple(d.kind for d in fr.divergences),
+            )
+        mask, kind, detail, kinds = outcome
+        campaign_mask |= mask
         if kind is not None:
             failures[kind] += 1
-            sig = (kind, _crash_detail(fr))
+            sig = (kind, detail)
             rec = seen.get(sig)
             if rec is None:
-                rec = CrashRecord(kind, sig[1], m, mutation)
+                rec = CrashRecord(kind, detail, m, mutation)
                 seen[sig] = rec
                 crashes.append(rec)
             else:
                 rec.count += 1
-        elif fr.divergences:
+        elif kinds:
             divergent += 1
-            for d in fr.divergences:
-                divergence_kinds[d.kind] = divergence_kinds.get(d.kind, 0) + 1
+            for k in kinds:
+                divergence_kinds[k] = divergence_kinds.get(k, 0) + 1
         else:
             clean += 1
 
@@ -367,8 +380,10 @@ def find_frame(trace: Trace, select: dict) -> int | None:
     Rules: {"index": N} picks exit N; {"first_of_reason": name-or-code} picks
     the first exit of that reason, None when the trace has no such exit.
     """
+    if not isinstance(select, dict):
+        raise CampaignSetupError("'select' must be a JSON object")
     if "index" in select:
-        return int(select["index"])
+        return _config_int(select, "index")
     if "first_of_reason" not in select:
         raise CampaignSetupError(
             "selection rule needs either 'index' or 'first_of_reason'"
@@ -379,10 +394,21 @@ def find_frame(trace: Trace, select: dict) -> int | None:
             want = ExitReason[want].value
         except KeyError:
             raise CampaignSetupError(f"unknown exit reason {want!r}") from None
+    elif not isinstance(want, int):
+        raise CampaignSetupError("'first_of_reason' must be a reason name or code")
     for i, frame in enumerate(trace.frames):
         if frame.reason == want:
             return i
     return None
+
+
+def _config_int(job: dict, key: str, default: int = 0) -> int:
+    """job[key] as an int, with int()'s leniency ("7" and 7.0 are accepted)."""
+    value = job.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CampaignSetupError(f"{key!r} must be an integer, not {value!r}") from None
 
 
 def run_config(
@@ -415,19 +441,25 @@ def run_config(
         for key in ("trace", "snapshot", "select", "area"):
             if key not in job:
                 raise CampaignSetupError(f"campaign {name!r} is missing {key!r}")
+        for key in ("trace", "snapshot", "artifacts"):
+            if not isinstance(job.get(key, ""), str):
+                raise CampaignSetupError(f"campaign {name!r}: {key!r} must be a string")
         area = job["area"]
         if area not in AREAS:
             raise CampaignSetupError(f"campaign {name!r}: unknown area {area!r}")
-        trace_path = str(base / job["trace"])
-        snap_path = str(base / job["snapshot"])
-        if trace_path not in traces:
-            traces[trace_path] = load_trace(trace_path)
-        if snap_path not in snaps:
-            snaps[snap_path] = load_snapshot(snap_path)
-        trace = traces[trace_path]
-        mutants = int(job.get("mutants", DEFAULT_MUTANTS))
-        rng_seed = int(job.get("rng_seed", default_rng_seed))
-        index = find_frame(trace, job["select"])
+        try:
+            mutants = _config_int(job, "mutants", DEFAULT_MUTANTS)
+            rng_seed = _config_int(job, "rng_seed", default_rng_seed)
+            trace_path = str(base / job["trace"])
+            snap_path = str(base / job["snapshot"])
+            if trace_path not in traces:
+                traces[trace_path] = load_trace(trace_path)
+            if snap_path not in snaps:
+                snaps[snap_path] = load_snapshot(snap_path)
+            trace = traces[trace_path]
+            index = find_frame(trace, job["select"])
+        except CampaignSetupError as exc:
+            raise CampaignSetupError(f"campaign {name!r}: {exc}") from None
         if index is None:
             want = job["select"]["first_of_reason"]
             results.append(

@@ -314,6 +314,60 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,value,named",
+    [
+        ("select", 5, "select"),
+        ("select", {"first_of_reason": None}, "first_of_reason"),
+        ("select", {"first_of_reason": [1]}, "first_of_reason"),
+        ("mutants", [1], "mutants"),
+        ("rng_seed", None, "rng_seed"),
+        ("trace", 5, "trace"),
+        ("artifacts", 7, "artifacts"),
+    ],
+    ids=["select-int", "reason-null", "reason-list", "mutants-list",
+         "rng-seed-null", "trace-int", "artifacts-int"],
+)
+def test_fuzz_mistyped_config_value_is_a_format_error(
+    key, value, named, workdir, tmp_path, capsys
+):
+    job = {
+        "name": "typed",
+        "trace": "cpu.iris",
+        "snapshot": "cpu.irisnap",
+        "select": {"first_of_reason": "RDTSC"},
+        "area": "gpr",
+        "mutants": 5,
+        key: value,
+    }
+    path = workdir / f"typed-{key}.json"
+    path.write_text(json.dumps({"campaigns": [job]}))
+    status = entry(["fuzz", str(path), "--out-dir", str(tmp_path)])
+    assert status == EXIT_FORMAT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: campaign 'typed': ")
+    assert repr(named) in lines[0]
+
+
+def test_fuzz_config_accepts_int_like_values(workdir, tmp_path, capsys):
+    job = {
+        "name": "lenient",
+        "trace": "cpu.iris",
+        "snapshot": "cpu.irisnap",
+        "select": {"index": "3"},
+        "area": "gpr",
+        "mutants": "5",
+        "rng_seed": 2.0,
+    }
+    path = workdir / "lenient.json"
+    path.write_text(json.dumps({"campaigns": [job]}))
+    status = entry(["fuzz", str(path), "--out-dir", str(tmp_path), "--quiet"])
+    assert status == EXIT_OK
+    saved = json.loads((tmp_path / "campaigns.json").read_text())
+    assert (saved[0]["frame_index"], saved[0]["mutants"], saved[0]["rng_seed"]) == (3, 5, 2)
+
+
 # ---------------------------------------------------------------------------
 # gen-workload
 # ---------------------------------------------------------------------------

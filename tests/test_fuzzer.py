@@ -8,7 +8,9 @@ import pytest
 from vmxrr.fuzzer import (
     AREA_GPR,
     AREA_VMCS,
+    CampaignResult,
     CampaignSetupError,
+    CrashRecord,
     EmptyArea,
     FuzzError,
     Mutation,
@@ -171,6 +173,125 @@ def test_outputs_are_byte_identical(profile, reason, area):
         )
     )
     assert digests == _BYTE_IDENTITY[(profile, reason, area)]
+
+
+def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
+    """run_test_case without reusing outcomes: restore and replay every mutant."""
+    target = trace.frames[frame_index]
+    replayer = Replayer(snapshot)
+    for i in range(frame_index):
+        replayer.replay_frame(trace.frames[i], i)
+    session = replayer.session
+    base_state = session.snapshot()
+    baseline_mask = replayer.replay_frame(target, frame_index).coverage_mask
+    result = CampaignResult(
+        name="", profile=trace.profile, workload_seed=trace.workload_seed,
+        frame_index=frame_index, reason=target.reason, area=area,
+        mutants=mutants, rng_seed=rng_seed, baseline_mask=baseline_mask,
+        campaign_mask=baseline_mask, failures={"VmCrash": 0, "HypCrash": 0},
+    )
+
+    def crash_detail(fr):
+        return fr.result.crash.detail if fr.result.crash is not None else ""
+
+    rng = SplitMix64(rng_seed)
+    seen = {}
+    for m in range(mutants):
+        session.restore(base_state)
+        mutation = mutate_random(target, area, rng)
+        fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
+        result.campaign_mask |= fr.coverage_mask
+        kind = detect_failure(fr.result)
+        if kind is not None:
+            result.failures[kind] += 1
+            sig = (kind, crash_detail(fr))
+            if sig in seen:
+                seen[sig].count += 1
+            else:
+                seen[sig] = CrashRecord(kind, sig[1], m, mutation)
+                result.crashes.append(seen[sig])
+        elif fr.divergences:
+            result.divergent += 1
+            for d in fr.divergences:
+                kinds = result.divergence_kinds
+                kinds[d.kind] = kinds.get(d.kind, 0) + 1
+        else:
+            result.clean += 1
+    result.coverage_delta_pct = (
+        100.0 * popcount(result.campaign_mask & ~baseline_mask) / popcount(baseline_mask)
+    )
+    for rec in result.crashes:
+        session.restore(base_state)
+        fr = replayer.replay_frame(apply_mutation(target, rec.mutation), frame_index)
+        rec.revalidated = (
+            detect_failure(fr.result) == rec.kind and crash_detail(fr) == rec.detail
+        )
+    return result
+
+
+@pytest.mark.parametrize(
+    "profile,reason,area,character",
+    [
+        ("OsBoot", "CR_ACCESS", AREA_VMCS, "crashes"),
+        ("CpuBound", "RDTSC", AREA_GPR, "clean"),
+        ("OsBoot", "CR_ACCESS", AREA_GPR, "divergent"),
+        ("OsBoot", "IO_INSTRUCTION", AREA_VMCS, "read_underflow"),
+    ],
+)
+def test_reused_outcomes_match_replaying_every_mutant(profile, reason, area, character):
+    outcome = _recorded(profile, 7, 300)
+    idx = find_frame(outcome.trace, {"first_of_reason": reason})
+    reference = _reference_campaign(outcome.trace, outcome.start_snapshot, idx,
+                                    area, mutants=2000, rng_seed=0)
+    result = run_test_case(outcome.trace, outcome.start_snapshot, idx, area,
+                           mutants=2000, rng_seed=0)
+    assert result.to_json() == reference.to_json()
+    # Each cell exercises the outcome it was chosen for.
+    if character == "crashes":
+        assert sum(result.failures.values()) > 0 and result.crashes
+    elif character == "clean":
+        assert result.clean == result.mutants
+    elif character == "divergent":
+        assert result.divergent > 0 and not result.crashes
+    else:
+        assert result.divergence_kinds.get(character, 0) > 0
+
+
+def test_each_distinct_mutation_is_replayed_once(monkeypatch):
+    outcome = _recorded("OsBoot", 7, 300)
+    idx = find_frame(outcome.trace, {"first_of_reason": "WRMSR"})
+    target = outcome.trace.frames[idx]
+    calls = {"restore": 0, "replay_frame": 0}
+    restore, replay_frame = Session.restore, Replayer.replay_frame
+
+    def counting_restore(self, snap):
+        calls["restore"] += 1
+        return restore(self, snap)
+
+    def counting_replay_frame(self, frame, index=0):
+        calls["replay_frame"] += 1
+        return replay_frame(self, frame, index)
+
+    monkeypatch.setattr(Session, "restore", counting_restore)
+    monkeypatch.setattr(Replayer, "replay_frame", counting_replay_frame)
+    counts = {}
+    for mutants in (2000, 10000):
+        rng = SplitMix64(0)
+        drawn = [mutate_random(target, AREA_VMCS, rng) for _ in range(mutants)]
+        distinct = len({(mu.entry_index, mu.bit) for mu in drawn})
+        # Saturated: every single-bit mutation of the area is drawn.
+        assert distinct == 64 * len(target.reads)
+        calls.update(restore=0, replay_frame=0)
+        result = run_test_case(outcome.trace, outcome.start_snapshot, idx,
+                               AREA_VMCS, mutants=mutants, rng_seed=0)
+        assert result.crashes
+        revalidations = len(result.crashes)
+        # Set-up: Replayer(snapshot) restores once; the prefix and the
+        # baseline replay idx + 1 exits.
+        assert calls["restore"] == 1 + distinct + revalidations
+        assert calls["replay_frame"] == idx + 1 + distinct + revalidations
+        counts[mutants] = dict(calls)
+    assert counts[2000] == counts[10000]
 
 
 def test_campaign_coverage_contains_the_baseline():
