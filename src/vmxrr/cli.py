@@ -14,6 +14,7 @@ stable contract for scripting:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ from pathlib import Path
 
 from . import fuzzer, reports
 from .guest import GuestProgram, PROFILES
-from .hypervisor import popcount
 from .recorder import (
     TraceFormatError,
     load_snapshot,
@@ -31,8 +31,14 @@ from .recorder import (
     save_snapshot,
     save_trace,
 )
-from .replayer import Replayer, compute_accuracy, trajectory_of_replay
-from .session import CYCLES_PER_SECOND, REFERENCE_EXITS_PER_SECOND
+from .replayer import (
+    Replayer,
+    compute_accuracy,
+    mode_timeline,
+    speedup,
+    throughput,
+    trajectory_of_replay,
+)
 from .vmx import FIELD_TABLE, GprId
 
 ENV_OUT_DIR = "VMXRR_OUT_DIR"
@@ -156,8 +162,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if with_metrics:
         acc = compute_accuracy(result)
         cycles = result.replay_clock
-        seconds = cycles / CYCLES_PER_SECOND
-        per_second = result.frames_completed / seconds if seconds else 0.0
+        record_cycles = sum(f.cycle_cost for f in trace.frames)
+        timeline = mode_timeline(trace.initial_cr0, (f.writes for f in trace.frames))
         summary.update(
             {
                 "block_fitting": acc.block_fitting,
@@ -169,22 +175,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 "diffs_by_reason": acc.diffs_by_reason,
                 "fitting_curve": acc.fitting_curve,
                 "trajectory": [m.name for m in trajectory_of_replay(trace, result)],
-                "mode_timeline": [
-                    [i, name] for i, name in reports.mode_timeline(trace)
-                ],
-                "record_cycles": sum(f.cycle_cost for f in trace.frames),
+                "mode_timeline": [[i, mode.name] for i, mode in timeline],
+                "record_cycles": record_cycles,
                 "replay_cycles": cycles,
-                "throughput": {
-                    "exits": result.frames_completed,
-                    "total_cycles": cycles,
-                    "virtual_seconds": seconds,
-                    "exits_per_second": per_second,
-                    "speedup_vs_reference": per_second / REFERENCE_EXITS_PER_SECOND,
-                },
+                "throughput": dataclasses.asdict(
+                    throughput(result.frames_completed, cycles)
+                ),
+                "speedup": speedup(record_cycles, cycles),
             }
         )
-        rec = summary["record_cycles"]
-        summary["speedup"] = rec / cycles if cycles else 0.0
         _say(
             args,
             f"block fitting {acc.block_fitting:.1f}%  "
@@ -246,8 +245,15 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+def _load_json(path: str, many: bool = False):
+    """A --replay report is one JSON object; a --campaigns file (many) is a
+    list of them. Any other shape is a format error that names the file."""
+    data = json.loads(Path(path).read_text())
+    items = data if many else [data]
+    if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
+        shape = "a list of JSON objects" if many else "a JSON object"
+        raise ValueError(f"{path} is not {shape}")
+    return data
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -263,7 +269,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     elif kind == "trajectory":
         if args.trace:
             trace = load_trace(args.trace)
-            timeline = reports.mode_timeline(trace)
+            writes = (f.writes for f in trace.frames)
+            timeline = [(i, m.name) for i, m in mode_timeline(trace.initial_cr0, writes)]
             total = len(trace.frames)
         elif args.replay:
             summary = _load_json(args.replay[0])
@@ -285,7 +292,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     elif kind == "deltas":
         if not args.campaigns:
             _usage(args, "deltas needs --campaigns")
-        text = reports.render_deltas(_load_json(args.campaigns), fmt)
+        text = reports.render_deltas(_load_json(args.campaigns, many=True), fmt)
     else:  # speedups
         if not args.replay:
             _usage(args, "speedups needs at least one --replay")
@@ -442,13 +449,7 @@ def entry(argv: list[str] | None = None) -> int:
     args.parser = parser
     try:
         return args.func(args)
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except fuzzer.FuzzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (TraceFormatError, fuzzer.FuzzError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 

@@ -8,7 +8,9 @@ crash found here is a crash of the handler logic, not of the harness.
 
 So a mutant's outcome depends only on the bit it flips: each distinct flip is
 replayed once, and repeat draws are counted from its stored outcome. The
-results and artifacts are those of replaying every mutant.
+results and artifacts are those of replaying every mutant. A mutant crashed
+when its replayed exit reports a crash (`FrameReplay.crash`, the hypervisor's
+own `CrashInfo`); crashes with equal kind and detail are one crash.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .hypervisor import DispatchResult, ExitOutcome, popcount
+from .hypervisor import CrashInfo, popcount
 from .recorder import (
     ExitFrame,
     Trace,
@@ -26,7 +28,7 @@ from .recorder import (
     save_snapshot,
     save_trace,
 )
-from .replayer import FrameReplay, Replayer
+from .replayer import Replayer
 from .rng import SplitMix64
 from .session import SessionSnapshot
 from .vmx import ExitReason, guest_cr0_view
@@ -92,17 +94,6 @@ def apply_mutation(frame: ExitFrame, mutation: Mutation) -> ExitFrame:
     encoding, value = values[i]
     values[i] = (encoding, value ^ flip)
     return replace(frame, reads=tuple(values))
-
-
-def detect_failure(result: DispatchResult | None) -> str | None:
-    """Crash kind of a dispatch, or None for a survivable outcome."""
-    if result is None:
-        return None
-    if result.outcome is ExitOutcome.VM_CRASH:
-        return "VmCrash"
-    if result.outcome is ExitOutcome.HYP_CRASH:
-        return "HypCrash"
-    return None
 
 
 @dataclass
@@ -179,12 +170,6 @@ class CampaignResult:
         }
 
 
-def _crash_detail(fr: FrameReplay) -> str:
-    if fr.result is not None and fr.result.crash is not None:
-        return fr.result.crash.detail
-    return ""
-
-
 def run_test_case(
     trace: Trace,
     snapshot: SessionSnapshot,
@@ -213,7 +198,7 @@ def run_test_case(
     replayer = Replayer(snapshot)
     for i in range(frame_index):
         fr = replayer.replay_frame(trace.frames[i], i)
-        if fr.aborted or fr.divergences or fr.result.outcome is not ExitOutcome.RESUME:
+        if fr.divergences or fr.crash is not None:    # an abort is a divergence
             raise CampaignSetupError(
                 f"prefix replay diverged at exit {i}; trace does not match snapshot"
             )
@@ -222,7 +207,7 @@ def run_test_case(
     base_cr0_view = guest_cr0_view(session.vm.vmcs)
 
     baseline = replayer.replay_frame(target, frame_index)
-    if baseline.aborted or baseline.divergences:
+    if baseline.divergences:
         raise CampaignSetupError(f"baseline replay of exit {frame_index} diverged")
     baseline_mask = baseline.coverage_mask
     if baseline_mask == 0:
@@ -235,8 +220,8 @@ def run_test_case(
     clean = 0
     divergence_kinds: dict[str, int] = {}
     crashes: list[CrashRecord] = []
-    seen: dict[tuple[str, str], CrashRecord] = {}
-    # (entry_index, bit) -> (coverage mask, crash kind, detail, divergence kinds)
+    seen: dict[CrashInfo, CrashRecord] = {}
+    # (entry_index, bit) -> (coverage mask, crash, divergence kinds)
     outcomes: dict[tuple[int, int], tuple] = {}
 
     for m in range(mutants):
@@ -247,18 +232,15 @@ def run_test_case(
             session.restore(base_state)
             fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
             outcome = outcomes[key] = (
-                fr.coverage_mask, detect_failure(fr.result), _crash_detail(fr),
-                tuple(d.kind for d in fr.divergences),
+                fr.coverage_mask, fr.crash, tuple(d.kind for d in fr.divergences),
             )
-        mask, kind, detail, kinds = outcome
+        mask, crash, kinds = outcome
         campaign_mask |= mask
-        if kind is not None:
-            failures[kind] += 1
-            sig = (kind, detail)
-            rec = seen.get(sig)
+        if crash is not None:
+            failures[crash.kind] += 1
+            rec = seen.get(crash)
             if rec is None:
-                rec = CrashRecord(kind, detail, m, mutation)
-                seen[sig] = rec
+                rec = seen[crash] = CrashRecord(crash.kind, crash.detail, m, mutation)
                 crashes.append(rec)
             else:
                 rec.count += 1
@@ -278,9 +260,7 @@ def run_test_case(
         session.restore(base_state)
         mutant_frame = apply_mutation(target, rec.mutation)
         fr = replayer.replay_frame(mutant_frame, frame_index)
-        rec.revalidated = (
-            detect_failure(fr.result) == rec.kind and _crash_detail(fr) == rec.detail
-        )
+        rec.revalidated = fr.crash == CrashInfo(rec.kind, rec.detail)
         if out_dir is not None:
             rec.artifact = _write_artifact(
                 out_dir, trace, base_state, base_cr0_view, rec, mutant_frame,
@@ -362,9 +342,8 @@ def replay_artifact(meta_path: str | Path) -> ArtifactReplay:
     fragment = load_trace(meta_path.parent / meta["trace"])
     snap = load_snapshot(meta_path.parent / meta["snapshot"])
     replayer = Replayer(snap)
-    fr = replayer.replay_frame(fragment.frames[0], meta["frame_index"])
-    kind = detect_failure(fr.result)
-    detail = _crash_detail(fr)
+    crash = replayer.replay_frame(fragment.frames[0], meta["frame_index"]).crash
+    kind, detail = (crash.kind, crash.detail) if crash is not None else (None, "")
     return ArtifactReplay(
         kind, detail, kind == meta["kind"] and detail == meta["detail"]
     )
@@ -389,13 +368,12 @@ def find_frame(trace: Trace, select: dict) -> int | None:
             "selection rule needs either 'index' or 'first_of_reason'"
         )
     want = select["first_of_reason"]
-    if isinstance(want, str):
-        try:
-            want = ExitReason[want].value
-        except KeyError:
-            raise CampaignSetupError(f"unknown exit reason {want!r}") from None
-    elif not isinstance(want, int):
+    if isinstance(want, bool) or not isinstance(want, (str, int)):
         raise CampaignSetupError("'first_of_reason' must be a reason name or code")
+    try:
+        want = ExitReason[want] if isinstance(want, str) else ExitReason(want)
+    except (KeyError, ValueError):
+        raise CampaignSetupError(f"unknown exit reason {want!r}") from None
     for i, frame in enumerate(trace.frames):
         if frame.reason == want:
             return i
@@ -438,6 +416,8 @@ def run_config(
         if not isinstance(job, dict):
             raise CampaignSetupError(f"campaign {i} must be a JSON object")
         name = job.get("name", f"campaign{i}")
+        if not isinstance(name, str):
+            raise CampaignSetupError(f"campaign {i}: 'name' must be a string")
         for key in ("trace", "snapshot", "select", "area"):
             if key not in job:
                 raise CampaignSetupError(f"campaign {name!r} is missing {key!r}")

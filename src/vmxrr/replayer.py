@@ -24,7 +24,6 @@ from .hypervisor import (
     CrashInfo,
     DISPATCH_COST,
     DispatchResult,
-    ExitOutcome,
     OTHER_HANDLER_COST,
     popcount,
 )
@@ -68,10 +67,6 @@ class InvalidSeed(ReplayError):
     pass
 
 
-class ReplayDivergence(ReplayError):
-    pass
-
-
 @dataclass(frozen=True)
 class Divergence:
     frame_index: int
@@ -81,27 +76,31 @@ class Divergence:
 
 @dataclass
 class FrameReplay:
-    result: DispatchResult | None   # None when the frame aborted mid-handler
+    result: DispatchResult | None   # None when a read underflow stopped the handler
     coverage_mask: int
     writes: list[tuple[int, int]]
     divergences: list[Divergence]
-    aborted: bool
     matched_writes: int
-    recorded_writes: int
+
+    @property
+    def crash(self) -> CrashInfo | None:
+        return None if self.result is None else self.result.crash
 
 
 @dataclass
 class ReplayResult:
-    frames_completed: int
     crash: CrashInfo | None
     divergences: list[Divergence]
     recorded_union: int
-    replayed_union: int
     replay_clock: int
     matched_writes: int
     recorded_writes: int
     frame_masks: list[tuple[int, int, int]]   # (reason, recorded, replayed)
     final_writes: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def frames_completed(self) -> int:
+        return len(self.frame_masks)
 
     @property
     def clean(self) -> bool:
@@ -150,11 +149,9 @@ class Replayer:
         cov.begin_frame()
         divergences: list[Divergence] = []
         result: DispatchResult | None = None
-        aborted = False
         try:
             result = self.session.hyp.handle_exit()
         except OverrideUnderflow as exc:
-            aborted = True
             divergences.append(Divergence(index, "read_underflow", str(exc)))
         finally:
             vmcs.on_write = None
@@ -196,42 +193,34 @@ class Replayer:
                     f"recorded {len(recorded)} writes, replayed {len(writes)}",
                 )
             )
-        return FrameReplay(result, mask, writes, divergences, aborted, matched, len(recorded))
+        return FrameReplay(result, mask, writes, divergences, matched)
 
-    def replay_trace(self, trace: Trace, strict: bool = False) -> ReplayResult:
+    def replay_trace(self, trace: Trace) -> ReplayResult:
+        """Replay the frames in order; stop after a frame that underflowed
+        its reads or crashed."""
         divergences: list[Divergence] = []
         frame_masks: list[tuple[int, int, int]] = []
         all_writes: list[tuple[int, int]] = []
-        replayed_union = 0
         matched_writes = 0
         recorded_writes = 0
         crash: CrashInfo | None = None
-        completed = 0
         for i, frame in enumerate(trace.frames):
             fr = self.replay_frame(frame, i)
-            completed += 1
-            replayed_union |= fr.coverage_mask
             divergences.extend(fr.divergences)
             matched_writes += fr.matched_writes
-            recorded_writes += fr.recorded_writes
+            recorded_writes += len(frame.writes)
             frame_masks.append((frame.reason, frame.coverage_mask, fr.coverage_mask))
             all_writes.extend(fr.writes)
-            if strict and fr.divergences:
-                raise ReplayDivergence(fr.divergences[0].detail)
-            if fr.aborted:
-                break
-            if fr.result.outcome is not ExitOutcome.RESUME:
-                crash = fr.result.crash
+            crash = fr.crash
+            if fr.result is None or crash is not None:
                 break
         recorded_union = 0
         for frame in trace.frames:
             recorded_union |= frame.coverage_mask
         return ReplayResult(
-            frames_completed=completed,
             crash=crash,
             divergences=divergences,
             recorded_union=recorded_union,
-            replayed_union=replayed_union,
             replay_clock=self.replay_clock,
             matched_writes=matched_writes,
             recorded_writes=recorded_writes,
@@ -259,10 +248,6 @@ class AccuracyReport:
 
 
 def compute_accuracy(result: ReplayResult) -> AccuracyReport:
-    rec_union = result.recorded_union
-    rep_union = result.replayed_union
-    rec_count = popcount(rec_union)
-    fitting = 100.0 * popcount(rep_union) / rec_count if rec_count else 100.0
     write_pct = (
         100.0 * result.matched_writes / result.recorded_writes
         if result.recorded_writes
@@ -287,11 +272,13 @@ def compute_accuracy(result: ReplayResult) -> AccuracyReport:
         rep_cum |= rep_mask
         denom = popcount(rec_cum)
         curve.append(100.0 * popcount(rep_cum) / denom if denom else 100.0)
+    rec_count = popcount(result.recorded_union)
+    rep_count = popcount(rep_cum)    # rep_cum is now the replayed union
     return AccuracyReport(
-        block_fitting=fitting,
+        block_fitting=100.0 * rep_count / rec_count if rec_count else 100.0,
         write_exact_pct=write_pct,
         recorded_blocks=rec_count,
-        replayed_blocks=popcount(rep_union),
+        replayed_blocks=rep_count,
         matched_writes=result.matched_writes,
         recorded_writes=result.recorded_writes,
         diffs_total=diffs_total,
@@ -305,26 +292,32 @@ def compute_accuracy(result: ReplayResult) -> AccuracyReport:
 # CR0 mode trajectory
 # ---------------------------------------------------------------------------
 
-def cr0_mode_trajectory(initial_cr0: int, writes) -> list[CpuMode]:
-    """Modes visited, given the initial CR0 view and a (field, value) write
-    stream; consecutive duplicates collapse."""
-    modes = [classify_cr0_mode(initial_cr0)]
-    for encoding, value in writes:
-        if encoding != GUEST_CR0:
-            continue
-        mode = classify_cr0_mode(value)
-        if mode is not modes[-1]:
-            modes.append(mode)
-    return modes
+def mode_timeline(initial_cr0: int, writes_per_frame) -> list[tuple[int, CpuMode]]:
+    """(first exit index, mode) for each mode the guest CR0 view enters, given
+    the initial view and each exit's (field, value) writes; consecutive
+    duplicates collapse. Index -1 marks the mode held before the first exit.
+    """
+    mode = classify_cr0_mode(initial_cr0)
+    timeline = [(-1, mode)]
+    for i, writes in enumerate(writes_per_frame):
+        for encoding, value in writes:
+            if encoding != GUEST_CR0:
+                continue
+            nxt = classify_cr0_mode(value)
+            if nxt is not mode:
+                mode = nxt
+                timeline.append((i, mode))
+    return timeline
 
 
 def trajectory_of_trace(trace: Trace) -> list[CpuMode]:
-    writes = (w for frame in trace.frames for w in frame.writes)
-    return cr0_mode_trajectory(trace.initial_cr0, writes)
+    writes = (frame.writes for frame in trace.frames)
+    return [mode for _, mode in mode_timeline(trace.initial_cr0, writes)]
 
 
 def trajectory_of_replay(trace: Trace, result: ReplayResult) -> list[CpuMode]:
-    return cr0_mode_trajectory(trace.initial_cr0, result.final_writes)
+    # The replayed writes are one flat stream, so its indexes are not exits.
+    return [mode for _, mode in mode_timeline(trace.initial_cr0, [result.final_writes])]
 
 
 # ---------------------------------------------------------------------------
@@ -338,39 +331,38 @@ class ThroughputReport:
     virtual_seconds: float
     exits_per_second: float
     speedup_vs_reference: float
-    coverage_union: int = 0
+
+
+def throughput(exits: int, cycles: int) -> ThroughputReport:
+    """Virtual-clock rate of `exits` exits that took `cycles` cycles."""
+    seconds = cycles / CYCLES_PER_SECOND
+    per_second = exits / seconds if seconds else 0.0
+    return ThroughputReport(
+        exits, cycles, seconds, per_second, per_second / REFERENCE_EXITS_PER_SECOND
+    )
 
 
 def ideal_throughput(n_exits: int) -> ThroughputReport:
     """Replay floor: timer exits only, nothing but dispatch and the handler."""
-    cycles = n_exits * (DISPATCH_COST + OTHER_HANDLER_COST)
-    seconds = cycles / CYCLES_PER_SECOND
-    per_second = n_exits / seconds if seconds else 0.0
-    return ThroughputReport(
-        n_exits, cycles, seconds, per_second, per_second / REFERENCE_EXITS_PER_SECOND
-    )
+    return throughput(n_exits, n_exits * (DISPATCH_COST + OTHER_HANDLER_COST))
 
 
-def measure_throughput(n_exits: int) -> ThroughputReport:
-    """Actually drive n timer exits through an idle dummy VM and count cycles."""
+def measure_throughput(n_exits: int) -> tuple[ThroughputReport, int]:
+    """Actually drive n timer exits through an idle dummy VM and count cycles;
+    also return the blocks they covered."""
     session = Session()
     session.power_on()
     op = GuestOp(ExitReason.PREEMPTION_TIMER, 0)
     for _ in range(n_exits):
         result = session.drive(op)
-        if result.outcome is not ExitOutcome.RESUME:
+        if result.crash is not None:
             raise RuntimeError(f"dummy exit failed: {result.crash}")
-    cycles = session.virtual_clock
-    seconds = cycles / CYCLES_PER_SECOND
-    per_second = n_exits / seconds if seconds else 0.0
-    return ThroughputReport(
-        n_exits,
-        cycles,
-        seconds,
-        per_second,
-        per_second / REFERENCE_EXITS_PER_SECOND,
-        session.hyp.cov.union_mask,
-    )
+    return throughput(n_exits, session.virtual_clock), session.hyp.cov.union_mask
+
+
+def speedup(record_cycles: int, replay_cycles: int) -> float:
+    """How many times fewer virtual cycles the replay took than the record."""
+    return record_cycles / replay_cycles if replay_cycles else 0.0
 
 
 @dataclass(frozen=True)
@@ -390,11 +382,10 @@ def measure_speedup(profile_name: str, workload_seed: int, n_exits: int) -> Spee
     replay = replayer.replay_trace(outcome.trace)
     if not replay.clean:
         raise RuntimeError("replay diverged while measuring speedup")
-    record_cycles = outcome.record_cycles
     return SpeedupReport(
         profile_name,
         n_exits,
-        record_cycles,
+        outcome.record_cycles,
         replay.replay_clock,
-        record_cycles / replay.replay_clock if replay.replay_clock else 0.0,
+        speedup(outcome.record_cycles, replay.replay_clock),
     )

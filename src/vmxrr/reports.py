@@ -9,9 +9,11 @@ self-contained SVG line chart.
 from __future__ import annotations
 
 from .recorder import Trace
-from .vmx import ExitReason, classify_cr0_mode, GUEST_CR0, reason_name
+from .replayer import speedup
+from .vmx import ExitReason, reason_name
 
 HIST_BAR_WIDTH = 40
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 240, 42
 
 
 def _reason_code(name: str) -> int:
@@ -69,24 +71,6 @@ def render_histogram(counts: list[tuple[str, int]], fmt: str = "text") -> str:
 # CR0 mode timeline
 # ---------------------------------------------------------------------------
 
-def mode_timeline(trace: Trace) -> list[tuple[int, str]]:
-    """(first exit index, mode name) for each mode the guest view enters.
-
-    Index -1 marks the mode held before the first recorded exit.
-    """
-    mode = classify_cr0_mode(trace.initial_cr0)
-    timeline = [(-1, mode.name)]
-    for i, frame in enumerate(trace.frames):
-        for encoding, value in frame.writes:
-            if encoding != GUEST_CR0:
-                continue
-            nxt = classify_cr0_mode(value)
-            if nxt is not mode:
-                mode = nxt
-                timeline.append((i, mode.name))
-    return timeline
-
-
 def render_trajectory(
     timeline: list[tuple[int, str]], total_frames: int, fmt: str = "text"
 ) -> str:
@@ -112,10 +96,7 @@ def render_trajectory(
 def render_fitting(curve: list[float], fmt: str = "csv") -> str:
     if fmt == "svg":
         points = [(float(i), v) for i, v in enumerate(curve)]
-        return svg_line_chart(
-            points, title="cumulative block fitting", y_unit="%", y_floor=0.0,
-            y_ceil=100.0,
-        )
+        return svg_line_chart(points, title="cumulative block fitting", y_unit="%")
     if fmt == "text":
         # One row per change is enough; the curve is monotone within a run.
         rows = []
@@ -132,28 +113,17 @@ def render_fitting(curve: list[float], fmt: str = "csv") -> str:
     )
 
 
-def svg_line_chart(
-    points: list[tuple[float, float]],
-    width: int = 640,
-    height: int = 240,
-    margin: int = 42,
-    title: str = "",
-    y_unit: str = "",
-    y_floor: float | None = None,
-    y_ceil: float | None = None,
-) -> str:
-    """A single polyline with axes; no external references, renders anywhere."""
+def svg_line_chart(points: list[tuple[float, float]], title: str, y_unit: str) -> str:
+    """A single polyline with axes on a 0-100 y scale; no external references,
+    renders anywhere."""
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     if not points:
         points = [(0.0, 0.0)]
     xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo = min(ys) if y_floor is None else y_floor
-    y_hi = max(ys) if y_ceil is None else y_ceil
+    y_lo, y_hi = 0.0, 100.0
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
 
@@ -244,10 +214,8 @@ def render_speedups(entries: list[dict], fmt: str = "text") -> str:
     for e in sorted(entries, key=lambda e: e["profile"]):
         rec = e["record_cycles"]
         rep = e["replay_cycles"]
-        speedup = rec / rep if rep else 0.0
-        rows.append(
-            [e["profile"], str(e["frames"]), str(rec), str(rep), f"{speedup:.2f}x"]
-        )
+        ratio = f"{speedup(rec, rep):.2f}x"
+        rows.append([e["profile"], str(e["frames"]), str(rec), str(rep), ratio])
     headers = ["profile", "exits", "record_cycles", "replay_cycles", "speedup"]
     if fmt == "csv":
         return _csv(headers, rows)

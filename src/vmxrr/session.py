@@ -68,12 +68,10 @@ class NoiseInjector:
     def __init__(self, seed: int, probability: float) -> None:
         self.rng = SplitMix64(seed ^ NOISE_SEED_SALT)
         self.probability = probability
-        self.injected = 0
 
     def poll(self) -> tuple[GuestOp, int] | None:
         if not self.rng.chance(self.probability):
             return None
-        self.injected += 1
         if self.rng.chance(0.5):
             vector, block = 0x20, B_ASYNC_LAPIC_TIMER
         else:

@@ -286,9 +286,6 @@ class GprFile:
     def write(self, gpr: int, value: int) -> None:
         self.regs[gpr] = value & MASK64
 
-    def copy(self) -> "GprFile":
-        return GprFile(self.regs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GprFile) and self.regs == other.regs
 

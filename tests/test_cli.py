@@ -1,6 +1,8 @@
 """Command-line behavior: flows, exit statuses, and file outputs."""
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ from vmxrr.cli import (
 )
 from vmxrr.fuzzer import run_test_case
 from vmxrr.recorder import load_trace, record
+from vmxrr.rng import SplitMix64
+from vmxrr.vmx import fnv1a64
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +170,56 @@ def test_replay_corrupt_file_is_a_format_error(workdir, tmp_path, capsys):
     assert "integrity" in capsys.readouterr().err
 
 
+# sha256 of each replay-side output for 120-exit recordings at seed 7: the
+# --report JSON from a snapshot (OsBoot, OsBoot with noise 0.05, Idle) and
+# from a fresh VM (Idle, which crashes at exit 0), and the report renderings
+# made from them. The reports embed the paths as given, so they are relative.
+_REPLAY_OUTPUTS = {
+    "boot.json":
+        "ec111e276b1e94359ea064a35461c1c5ec585025616f51782a489c4830945b4d",
+    "noisy.json":
+        "2b8075c2d7fb941769bfd734c363123e7c0c153d411b951a993ebbc1c267b21f",
+    "idle.json":
+        "804142ff0d3b0a88ff8059e6d16249c234f83aa066560c0b7333e4485c0283d7",
+    "idle-fresh.json":
+        "877073c2a4b6b91f30478dd0fc8f597d86234a1a52fbdf8f83ebae0e28be7781",
+    "speedups.txt":
+        "c7633a58d866535a4772ff1a115f45e988ce70d94009ca2657e15ffb86275064",
+    "trajectory-trace.txt":
+        "f8e7b73f6eb70f28437dfe7be34924a9c0b4439c52f6623ed8819d5d4413ffa2",
+    "trajectory-replay.txt":
+        "f8e7b73f6eb70f28437dfe7be34924a9c0b4439c52f6623ed8819d5d4413ffa2",
+    "fitting.svg":
+        "8908a3ee35afb943963c31e3a064dbd5fbc067b5cc1de660f0568c73d50d6283",
+}
+
+
+def test_replay_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, profile, noise in (
+        ("boot", "OsBoot", "0"), ("noisy", "OsBoot", "0.05"), ("idle", "Idle", "0"),
+    ):
+        assert entry(["record", profile, "120", "--seed", "7", "--noise", noise,
+                      "--out", name, "--quiet"]) == EXIT_OK
+        assert entry(["replay", f"{name}.iris", "--from", f"{name}.irisnap",
+                      "--with-metrics", "--report", f"{name}.json", "--quiet"]) == EXIT_OK
+    assert entry(["replay", "idle.iris", "--with-metrics",
+                  "--report", "idle-fresh.json", "--quiet"]) == EXIT_VM_CRASH
+    for argv in (
+        ["speedups", "--replay", "boot.json", "--replay", "noisy.json",
+         "--replay", "idle.json", "--out", "speedups.txt"],
+        ["trajectory", "--trace", "boot.iris", "--out", "trajectory-trace.txt"],
+        ["trajectory", "--replay", "boot.json", "--out", "trajectory-replay.txt"],
+        ["fitting", "--replay", "noisy.json", "--format", "svg", "--out", "fitting.svg"],
+    ):
+        assert entry(["report", *argv]) == EXIT_OK
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _REPLAY_OUTPUTS
+    }
+    assert digests == _REPLAY_OUTPUTS
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
@@ -256,6 +310,29 @@ def test_report_trajectory_text(tmp_path, capsys):
     assert "MODE3" in out
 
 
+@pytest.mark.parametrize(
+    "kind,flag,content",
+    [
+        ("fitting", "--replay", [{"name": "rdtsc-vmcs"}]),
+        ("trajectory", "--replay", [{"name": "rdtsc-vmcs"}]),
+        ("deltas", "--campaigns", {"mode": "replay", "frames": 150}),
+        ("deltas", "--campaigns", [1, 2]),
+        ("speedups", "--replay", [1, 2]),
+    ],
+    ids=["fitting-campaigns", "trajectory-campaigns", "deltas-replay-report",
+         "deltas-list-of-ints", "speedups-list-of-ints"],
+)
+def test_report_input_of_the_wrong_shape_is_a_format_error(
+    kind, flag, content, tmp_path, capsys
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert entry(["report", kind, flag, str(path)]) == EXIT_FORMAT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path} is not ")
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 # ---------------------------------------------------------------------------
@@ -324,9 +401,15 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
         ("rng_seed", None, "rng_seed"),
         ("trace", 5, "trace"),
         ("artifacts", 7, "artifacts"),
+        ("select", {"first_of_reason": 999}, 999),
+        ("select", {"first_of_reason": -1}, -1),
+        ("select", {"first_of_reason": True}, "first_of_reason"),
+        ("name", [1], "name"),
+        ("name", None, "name"),
     ],
     ids=["select-int", "reason-null", "reason-list", "mutants-list",
-         "rng-seed-null", "trace-int", "artifacts-int"],
+         "rng-seed-null", "trace-int", "artifacts-int", "reason-unknown-code",
+         "reason-negative", "reason-bool", "name-list", "name-null"],
 )
 def test_fuzz_mistyped_config_value_is_a_format_error(
     key, value, named, workdir, tmp_path, capsys
@@ -346,7 +429,9 @@ def test_fuzz_mistyped_config_value_is_a_format_error(
     assert status == EXIT_FORMAT
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: campaign 'typed': ")
+    # A name that is no string cannot label its campaign; the index does.
+    prefix = "campaign 0" if key == "name" else "campaign 'typed'"
+    assert lines[0].startswith(f"error: {prefix}: ")
     assert repr(named) in lines[0]
 
 
@@ -366,6 +451,47 @@ def test_fuzz_config_accepts_int_like_values(workdir, tmp_path, capsys):
     assert status == EXIT_OK
     saved = json.loads((tmp_path / "campaigns.json").read_text())
     assert (saved[0]["frame_index"], saved[0]["mutants"], saved[0]["rng_seed"]) == (3, 5, 2)
+
+
+def test_bit_flipped_inputs_end_in_a_documented_status(tmp_path, monkeypatch):
+    """Self-fuzz: one bit flipped per run in the .iris, the .irisnap or the
+    campaign config. The binary containers get a fresh trailer, so mutants
+    get past the integrity hash into the parsers."""
+    monkeypatch.chdir(tmp_path)
+    assert entry(["record", "OsBoot", "40", "--seed", "7",
+                  "--out", "boot", "--quiet"]) == EXIT_OK
+    config = {"campaigns": [{
+        "name": "cr", "trace": "boot.iris", "snapshot": "boot.irisnap",
+        "select": {"first_of_reason": "CR_ACCESS"}, "area": "vmcs",
+        "mutants": 20, "artifacts": "art",
+    }]}
+    originals = {
+        "boot.iris": (tmp_path / "boot.iris").read_bytes(),
+        "boot.irisnap": (tmp_path / "boot.irisnap").read_bytes(),
+        "fuzz.json": json.dumps(config).encode(),
+    }
+    names = sorted(originals)
+    rng = SplitMix64(4)
+    statuses = set()
+    for _ in range(100):
+        target = names[rng.below(len(names))]
+        data = bytearray(originals[target])
+        binary = target != "fuzz.json"
+        bit = rng.below(8 * (len(data) - 8 if binary else len(data)))
+        data[bit // 8] ^= 1 << (bit % 8)
+        if binary:
+            data[-8:] = struct.pack("<Q", fnv1a64(bytes(data[:-8])))
+        for name, original in originals.items():
+            (tmp_path / name).write_bytes(bytes(data) if name == target else original)
+        for argv in (
+            ["replay", "boot.iris", "--from", "boot.irisnap", "--with-metrics"],
+            ["fuzz", "fuzz.json", "--out-dir", "out"],
+        ):
+            status = entry([*argv, "--quiet"])
+            assert status in {EXIT_OK, EXIT_USAGE, EXIT_FORMAT, EXIT_VM_CRASH,
+                              EXIT_HYP_CRASH}, (target, bit, argv)
+            statuses.add(status)
+    assert {EXIT_OK, EXIT_FORMAT} <= statuses
 
 
 # ---------------------------------------------------------------------------

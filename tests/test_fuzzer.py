@@ -15,14 +15,13 @@ from vmxrr.fuzzer import (
     FuzzError,
     Mutation,
     apply_mutation,
-    detect_failure,
     find_frame,
     mutate_random,
     replay_artifact,
     run_config,
     run_test_case,
 )
-from vmxrr.hypervisor import DispatchResult, ExitOutcome, CrashInfo, popcount
+from vmxrr.hypervisor import popcount
 from vmxrr.recorder import (
     SEED_ENTRY_SIZE,
     ExitFrame,
@@ -114,16 +113,6 @@ def test_empty_area_is_an_error():
         mutate_random(bare, "stack", SplitMix64(1))
 
 
-def test_detect_failure_mapping():
-    assert detect_failure(None) is None
-    ok = DispatchResult(ExitOutcome.RESUME, 16, 3500)
-    assert detect_failure(ok) is None
-    vm = DispatchResult(ExitOutcome.VM_CRASH, 16, 3500, CrashInfo("VmCrash", "x"))
-    assert detect_failure(vm) == "VmCrash"
-    hyp = DispatchResult(ExitOutcome.HYP_CRASH, 16, 3500, CrashInfo("HypCrash", "y"))
-    assert detect_failure(hyp) == "HypCrash"
-
-
 # ---------------------------------------------------------------------------
 # Campaigns
 # ---------------------------------------------------------------------------
@@ -191,9 +180,6 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
         campaign_mask=baseline_mask, failures={"VmCrash": 0, "HypCrash": 0},
     )
 
-    def crash_detail(fr):
-        return fr.result.crash.detail if fr.result.crash is not None else ""
-
     rng = SplitMix64(rng_seed)
     seen = {}
     for m in range(mutants):
@@ -201,14 +187,14 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
         mutation = mutate_random(target, area, rng)
         fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
         result.campaign_mask |= fr.coverage_mask
-        kind = detect_failure(fr.result)
-        if kind is not None:
-            result.failures[kind] += 1
-            sig = (kind, crash_detail(fr))
+        crash = fr.result and fr.result.crash     # no result: the frame aborted
+        if crash is not None:
+            result.failures[crash.kind] += 1
+            sig = (crash.kind, crash.detail)
             if sig in seen:
                 seen[sig].count += 1
             else:
-                seen[sig] = CrashRecord(kind, sig[1], m, mutation)
+                seen[sig] = CrashRecord(crash.kind, crash.detail, m, mutation)
                 result.crashes.append(seen[sig])
         elif fr.divergences:
             result.divergent += 1
@@ -223,8 +209,9 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
     for rec in result.crashes:
         session.restore(base_state)
         fr = replayer.replay_frame(apply_mutation(target, rec.mutation), frame_index)
-        rec.revalidated = (
-            detect_failure(fr.result) == rec.kind and crash_detail(fr) == rec.detail
+        crash = fr.result and fr.result.crash
+        rec.revalidated = crash is not None and (crash.kind, crash.detail) == (
+            rec.kind, rec.detail
         )
     return result
 
@@ -357,7 +344,7 @@ def test_designated_cr_mutation_crashes_the_hypervisor():
         assert not fr.divergences
     mutant = apply_mutation(frame, Mutation(AREA_VMCS, qual_pos, 11))
     fr = rep.replay_frame(mutant, idx)
-    assert detect_failure(fr.result) == "HypCrash"
+    assert fr.crash.kind == "HypCrash"
     assert fr.result.crash.detail == "cr access gpr index 15 out of range"
 
 
