@@ -162,7 +162,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if with_metrics:
         acc = compute_accuracy(result)
         cycles = result.replay_clock
-        record_cycles = sum(f.cycle_cost for f in trace.frames)
+        # Both sides cover the same exits, even when the replay stopped early.
+        record_cycles = sum(f.cycle_cost for f in trace.frames[:result.frames_completed])
         timeline = mode_timeline(trace.initial_cr0, (f.writes for f in trace.frames))
         summary.update(
             {
@@ -245,14 +246,48 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _load_json(path: str, many: bool = False):
+# The keys each report kind reads from a JSON object, and their types: [t] is
+# a list of t, (t, u) a two-item list, {str: t} an object of t; float also
+# admits int, and bool is never an int.
+_REPORT_KEYS = {
+    "trajectory": {"mode_timeline": [(int, str)], "frames": int},
+    "fitting": {"fitting_curve": [float]},
+    "diffs": {"diffs_by_reason": {str: int}},
+    "deltas": {"profile": str, "area": str, "reason": str, "coverage_delta_pct": float},
+    "speedups": {"profile": str, "frames": int, "record_cycles": int, "replay_cycles": int},
+}
+
+
+def _matches(value, spec) -> bool:
+    if isinstance(spec, list):
+        return isinstance(value, list) and all(_matches(v, spec[0]) for v in value)
+    if isinstance(spec, tuple):
+        return (isinstance(value, list) and len(value) == len(spec)
+                and all(map(_matches, value, spec)))
+    if isinstance(spec, dict):
+        return isinstance(value, dict) and all(
+            _matches(v, spec[str]) for v in value.values()
+        )
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if spec is float else spec)
+
+
+def _load_json(path: str, kind: str, many: bool = False):
     """A --replay report is one JSON object; a --campaigns file (many) is a
-    list of them. Any other shape is a format error that names the file."""
+    list of them. Any other shape, or a key the `kind` report reads that is
+    missing or mistyped, is a format error that names the file."""
     data = json.loads(Path(path).read_text())
     items = data if many else [data]
     if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
         shape = "a list of JSON objects" if many else "a JSON object"
         raise ValueError(f"{path} is not {shape}")
+    for item in items:
+        for key, spec in _REPORT_KEYS[kind].items():
+            if key not in item:
+                raise ValueError(f"{path}: key {key!r} is missing")
+            if not _matches(item[key], spec):
+                raise ValueError(f"{path}: key {key!r} has the wrong type")
     return data
 
 
@@ -273,7 +308,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             timeline = [(i, m.name) for i, m in mode_timeline(trace.initial_cr0, writes)]
             total = len(trace.frames)
         elif args.replay:
-            summary = _load_json(args.replay[0])
+            summary = _load_json(args.replay[0], kind)
             timeline = [(i, name) for i, name in summary["mode_timeline"]]
             total = summary["frames"]
         else:
@@ -282,21 +317,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     elif kind == "fitting":
         if not args.replay:
             _usage(args, "fitting needs --replay")
-        summary = _load_json(args.replay[0])
+        summary = _load_json(args.replay[0], kind)
         text = reports.render_fitting(summary["fitting_curve"], fmt)
     elif kind == "diffs":
         if not args.replay:
             _usage(args, "diffs needs --replay")
-        summary = _load_json(args.replay[0])
+        summary = _load_json(args.replay[0], kind)
         text = reports.render_diffs(summary["diffs_by_reason"], fmt)
     elif kind == "deltas":
         if not args.campaigns:
             _usage(args, "deltas needs --campaigns")
-        text = reports.render_deltas(_load_json(args.campaigns, many=True), fmt)
+        text = reports.render_deltas(_load_json(args.campaigns, kind, many=True), fmt)
     else:  # speedups
         if not args.replay:
             _usage(args, "speedups needs at least one --replay")
-        text = reports.render_speedups([_load_json(p) for p in args.replay], fmt)
+        text = reports.render_speedups([_load_json(p, kind) for p in args.replay], fmt)
     _write_text(args.out, text, args)
     return EXIT_OK
 
@@ -353,6 +388,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError("seed must be in [0, 2**64)")
+    return value
+
+
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:    # also false for nan
@@ -366,7 +408,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # SUPPRESS; otherwise they would overwrite a value parsed up front.
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument(
-        "--rng-seed", type=int,
+        "--rng-seed", type=_seed,
         default=d if suppress else 0,
         help="default seed for commands that take none explicitly",
     )
@@ -396,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, suppress=True)
     p.add_argument("profile", choices=profiles)
     p.add_argument("exits", type=_count)
-    p.add_argument("--seed", type=int, help="workload seed (defaults to --rng-seed)")
+    p.add_argument("--seed", type=_seed, help="workload seed (defaults to --rng-seed)")
     p.add_argument("--noise", type=_probability, default=0.0,
                    help="async interrupt injection probability")
     p.add_argument("--out", help="output basename for .iris and .irisnap")
@@ -436,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, suppress=True)
     p.add_argument("profile", choices=profiles)
     p.add_argument("exits", type=_count)
-    p.add_argument("--seed", type=int, help="workload seed (defaults to --rng-seed)")
+    p.add_argument("--seed", type=_seed, help="workload seed (defaults to --rng-seed)")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_gen_workload)
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .hypervisor import CrashInfo, popcount
+from .hypervisor import CrashInfo
 from .recorder import (
     ExitFrame,
     Trace,
@@ -146,9 +146,9 @@ class CampaignResult:
             "rng_seed": self.rng_seed,
             "skipped": self.skipped,
             "skip_note": self.skip_note,
-            "baseline_blocks": popcount(self.baseline_mask),
-            "campaign_blocks": popcount(self.campaign_mask),
-            "new_blocks": popcount(self.campaign_mask & ~self.baseline_mask),
+            "baseline_blocks": self.baseline_mask.bit_count(),
+            "campaign_blocks": self.campaign_mask.bit_count(),
+            "new_blocks": (self.campaign_mask & ~self.baseline_mask).bit_count(),
             "coverage_delta_pct": self.coverage_delta_pct,
             "failures": dict(self.failures),
             "divergent": self.divergent,
@@ -251,7 +251,7 @@ def run_test_case(
         else:
             clean += 1
 
-    delta = 100.0 * popcount(campaign_mask & ~baseline_mask) / popcount(baseline_mask)
+    delta = 100.0 * (campaign_mask & ~baseline_mask).bit_count() / baseline_mask.bit_count()
 
     out_dir = Path(artifact_dir) if artifact_dir is not None else None
     if out_dir is not None:

@@ -270,8 +270,8 @@ class CoverageBitmap:
     """Per-exit block hits plus the cumulative union over a run.
 
     The frame mask is what a recorded exit carries; the caller decides frame
-    boundaries via begin_frame/end_frame so attaching a recorder never changes
-    when bits are cleared.
+    boundaries via begin_frame/end_frame so recording never changes when bits
+    are cleared.
     """
 
     __slots__ = ("frame_mask", "union_mask")
@@ -290,10 +290,6 @@ class CoverageBitmap:
         mask = self.frame_mask
         self.union_mask |= mask
         return mask
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ In memory a seed is a tuple of register values indexed by GprId plus a tuple
 of (field encoding, value) pairs for the reads; the writes are pairs too.
 Flags and the 10-byte entry exist only on disk: trace_to_bytes and
 seed_payload_bytes build them, trace_from_bytes checks and drops them.
+The session's exit loop builds the frames (session.ExitFrame); record() runs
+a session with capture on and wraps the frames in a Trace.
 
 Trace container (.iris), all integers little-endian:
 
@@ -29,11 +31,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .hypervisor import COVERAGE_BYTES, DispatchResult
+from .hypervisor import COVERAGE_BYTES
 from .rng import RNG_ALGORITHM
 from .session import (
+    ExitFrame,
     NoiseInjector,
-    Session,
     SessionResult,
     SessionSnapshot,
     prepare_session,
@@ -92,24 +94,6 @@ class TraceTruncated(TraceFormatError):
 
 
 @dataclass
-class ExitFrame:
-    reason: int
-    cycle_cost: int
-    coverage_mask: int
-    gprs: tuple[int, ...] = ()                      # indexed by GprId
-    reads: tuple[tuple[int, int], ...] = ()         # (encoding, value), in order
-    writes: tuple[tuple[int, int], ...] = ()
-
-    def seed_payload_size(self) -> int:
-        return SEED_ENTRY_SIZE * (len(self.gprs) + len(self.reads))
-
-    def seed_payload_bytes(self) -> bytes:
-        out = bytearray()
-        _pack_seed(out, self)
-        return bytes(out)
-
-
-@dataclass
 class Trace:
     profile: str
     workload_seed: int
@@ -136,6 +120,16 @@ def _pack_seed(out: bytearray, frame: ExitFrame) -> None:
         out += pack(FLAG_GPR, idx, value)
     for encoding, value in frame.reads:
         out += pack(FLAG_VMCS_READ, encoding, value)
+
+
+def seed_payload_size(frame: ExitFrame) -> int:
+    return SEED_ENTRY_SIZE * (len(frame.gprs) + len(frame.reads))
+
+
+def seed_payload_bytes(frame: ExitFrame) -> bytes:
+    out = bytearray()
+    _pack_seed(out, frame)
+    return bytes(out)
 
 
 def trace_to_bytes(trace: Trace) -> bytes:
@@ -271,8 +265,9 @@ def trace_from_bytes(data: bytes) -> Trace:
 
 
 def save_trace(trace: Trace, path) -> None:
+    data = trace_to_bytes(trace)    # packed before open: a failure leaves no file
     with open(path, "wb") as fh:
-        fh.write(trace_to_bytes(trace))
+        fh.write(data)
 
 
 def load_trace(path) -> Trace:
@@ -340,8 +335,9 @@ def snapshot_from_bytes(data: bytes) -> SessionSnapshot:
 
 
 def save_snapshot(snap: SessionSnapshot, path) -> None:
+    data = snapshot_to_bytes(snap)    # packed before open: a failure leaves no file
     with open(path, "wb") as fh:
-        fh.write(snapshot_to_bytes(snap))
+        fh.write(data)
 
 
 def load_snapshot(path) -> SessionSnapshot:
@@ -353,67 +349,11 @@ def load_snapshot(path) -> SessionSnapshot:
 # Live recording
 # ---------------------------------------------------------------------------
 
-class Recorder:
-    """Collects seeds and metrics from a session through the VMCS hooks."""
-
-    def __init__(self, profile: str, workload_seed: int) -> None:
-        self.profile = profile
-        self.workload_seed = workload_seed
-        self.initial_cr0 = 0
-        self.frames: list[ExitFrame] = []
-        self._session: Session | None = None
-        self._gpr_snapshot: tuple[int, ...] = ()
-        self._reads: list[tuple[int, int]] = []
-        self._writes: list[tuple[int, int]] = []
-
-    def attach(self, session: Session) -> None:
-        if session.recorder is not None:
-            raise RuntimeError("session already has a recorder")
-        self._session = session
-        session.recorder = self
-        vmcs = session.vm.vmcs
-        self.initial_cr0 = guest_cr0_view(vmcs)
-        vmcs.on_read = self._on_read
-        vmcs.on_write = self._on_write
-
-    def detach(self) -> None:
-        if self._session is None:
-            return
-        vmcs = self._session.vm.vmcs
-        vmcs.on_read = None
-        vmcs.on_write = None
-        self._session.recorder = None
-        self._session = None
-
-    def _on_read(self, encoding: int, value: int) -> None:
-        self._reads.append((encoding, value))
-
-    def _on_write(self, encoding: int, value: int) -> None:
-        self._writes.append((encoding, value))
-
-    def begin_exit(self) -> None:
-        self._gpr_snapshot = tuple(self._session.vm.gprs.regs)
-        self._reads = []
-        self._writes = []
-
-    def end_exit(self, result: DispatchResult, frame_mask: int, cycle_cost: int) -> None:
-        self.frames.append(
-            ExitFrame(
-                result.reason, cycle_cost, frame_mask, self._gpr_snapshot,
-                tuple(self._reads), tuple(self._writes),
-            )
-        )
-
-    def to_trace(self) -> Trace:
-        return Trace(self.profile, self.workload_seed, self.initial_cr0, self.frames)
-
-
 @dataclass
 class RecordingOutcome:
     trace: Trace
     start_snapshot: SessionSnapshot
     result: SessionResult
-    session: Session
     record_cycles: int
 
 
@@ -423,25 +363,21 @@ def record(
     n_exits: int,
     noise_probability: float = 0.0,
 ) -> RecordingOutcome:
-    """Record a full session: boot or restore, attach, run, detach.
+    """Record a full session: boot or restore, then run it with capture on.
 
-    The start snapshot is taken before the recorder attaches; replaying the
-    trace from it reproduces the recording's TSC and CR state exactly.
+    The start snapshot is taken before capture begins; replaying the trace
+    from it reproduces the recording's TSC and CR state exactly.
     """
     session, program = prepare_session(profile_name, workload_seed, n_exits)
     start_snapshot = session.snapshot()
-    clock_before = session.virtual_clock
-    recorder = Recorder(profile_name, workload_seed)
-    recorder.attach(session)
+    trace = Trace(profile_name, workload_seed, guest_cr0_view(session.vm.vmcs))
+    session.capture = trace.frames
     if noise_probability > 0.0:
         session.noise = NoiseInjector(workload_seed, noise_probability)
     result = session.run(program)
-    recorder.detach()
-    session.noise = None
     return RecordingOutcome(
-        trace=recorder.to_trace(),
+        trace=trace,
         start_snapshot=start_snapshot,
         result=result,
-        session=session,
-        record_cycles=session.virtual_clock - clock_before,
+        record_cycles=session.virtual_clock - start_snapshot.virtual_clock,
     )

@@ -25,7 +25,6 @@ from .hypervisor import (
     DISPATCH_COST,
     DispatchResult,
     OTHER_HANDLER_COST,
-    popcount,
 )
 from .recorder import ExitFrame, Trace, record
 from .session import (
@@ -143,8 +142,7 @@ class Replayer:
     def replay_frame(self, frame: ExitFrame, index: int = 0) -> FrameReplay:
         self.inject_seed(frame)
         vmcs = self.session.vm.vmcs
-        writes: list[tuple[int, int]] = []
-        vmcs.on_write = lambda enc, val: writes.append((enc, val))
+        vmcs.writes = writes = []
         cov = self.session.hyp.cov
         cov.begin_frame()
         divergences: list[Divergence] = []
@@ -153,8 +151,7 @@ class Replayer:
             result = self.session.hyp.handle_exit()
         except OverrideUnderflow as exc:
             divergences.append(Divergence(index, "read_underflow", str(exc)))
-        finally:
-            vmcs.on_write = None
+        vmcs.writes = None
         mask = cov.end_frame()
         if result is not None:
             self.replay_clock += result.base_cost
@@ -262,18 +259,18 @@ def compute_accuracy(result: ReplayResult) -> AccuracyReport:
     for reason, rec_mask, rep_mask in result.frame_masks:
         diff = rec_mask ^ rep_mask
         noise_bits = diff & ASYNC_MASK & rec_mask
-        filtered = popcount(diff & ~ASYNC_MASK)
-        noise_filtered += popcount(noise_bits)
+        filtered = (diff & ~ASYNC_MASK).bit_count()
+        noise_filtered += noise_bits.bit_count()
         diffs_total += filtered
         if filtered:
             name = reason_name(reason)
             diffs_by_reason[name] = diffs_by_reason.get(name, 0) + filtered
         rec_cum |= rec_mask
         rep_cum |= rep_mask
-        denom = popcount(rec_cum)
-        curve.append(100.0 * popcount(rep_cum) / denom if denom else 100.0)
-    rec_count = popcount(result.recorded_union)
-    rep_count = popcount(rep_cum)    # rep_cum is now the replayed union
+        denom = rec_cum.bit_count()
+        curve.append(100.0 * rep_cum.bit_count() / denom if denom else 100.0)
+    rec_count = result.recorded_union.bit_count()
+    rep_count = rep_cum.bit_count()    # rep_cum is now the replayed union
     return AccuracyReport(
         block_fitting=100.0 * rep_count / rec_count if rec_count else 100.0,
         write_exact_pct=write_pct,

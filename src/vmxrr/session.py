@@ -1,9 +1,13 @@
 """Run loop tying a guest VM to the hypervisor, plus snapshots and noise.
 
 The session owns the cycle ledger. Per exit the virtual clock advances by
-guest compute time, the exit's base cost, and (only while a recorder is
-attached) the recording overhead. The hypervisor TSC advances by base cost
-alone, so a replayed exit observes the same TSC the recorded one did.
+guest compute time, the exit's base cost, and (only while recording) the
+recording overhead. The hypervisor TSC advances by base cost alone, so a
+replayed exit observes the same TSC the recorded one did.
+
+Recording is part of the exit loop: while `Session.capture` is a list, every
+exit appends an ExitFrame built from the registers saved on exit, the VMCS
+access logs of its handler, its coverage and its cycle cost.
 """
 
 from __future__ import annotations
@@ -33,6 +37,18 @@ REFERENCE_EXITS_PER_SECOND = 50_000
 
 AUTO_BOOT_SEED_SALT = 0xB007
 NOISE_SEED_SALT = 0x5EED_0F_A5A5
+
+
+@dataclass
+class ExitFrame:
+    """One recorded exit: its seed (gprs, reads) and its metrics."""
+
+    reason: int
+    cycle_cost: int
+    coverage_mask: int
+    gprs: tuple[int, ...] = ()                      # indexed by GprId
+    reads: tuple[tuple[int, int], ...] = ()         # (encoding, value), in order
+    writes: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -90,7 +106,7 @@ class Session:
         self.hyp = Hypervisor(self.vm.vmcs, self.vm.gprs)
         self.virtual_clock = 0
         self.total_exits = 0
-        self.recorder = None           # duck-typed; see recorder.Recorder.attach
+        self.capture: list[ExitFrame] | None = None   # recorded frames, or None
         self.noise: NoiseInjector | None = None
 
     def power_on(self) -> None:
@@ -99,11 +115,11 @@ class Session:
     def auto_boot(self, seed: int) -> None:
         """Bring a non-boot workload's guest to protected-paged mode.
 
-        Runs the boot prologue without a recorder; traces of such workloads
-        start from the snapshot taken after this, never from the reset vector.
+        Runs the boot prologue unrecorded; traces of such workloads start
+        from the snapshot taken after this, never from the reset vector.
         """
-        if self.recorder is not None:
-            raise RuntimeError("auto_boot with a recorder attached")
+        if self.capture is not None:
+            raise RuntimeError("auto_boot while recording")
         rng = SplitMix64(seed ^ AUTO_BOOT_SEED_SALT)
         result = self.run(boot_prologue(rng, (50, 200)))
         if not result.ok:
@@ -111,20 +127,24 @@ class Session:
 
     def drive(self, op: GuestOp, async_block: int | None = None) -> DispatchResult:
         self.vm.raise_exit(op)
-        rec = self.recorder
-        if rec is not None:
-            rec.begin_exit()
+        capture = self.capture
+        if capture is not None:
+            gprs = tuple(self.vm.gprs.regs)
+            vmcs = self.vm.vmcs
+            vmcs.reads, vmcs.writes = [], []
         self.hyp.cov.begin_frame()
         if async_block is not None:
             self.hyp.cov.hit(async_block)
         result = self.hyp.handle_exit()
         frame_mask = self.hyp.cov.end_frame()
-        overhead = recording_overhead(result.base_cost) if rec is not None else 0
+        overhead = recording_overhead(result.base_cost) if capture is not None else 0
         cycle_cost = op.compute_cycles + result.base_cost + overhead
         self.virtual_clock += cycle_cost
         self.total_exits += 1
-        if rec is not None:
-            rec.end_exit(result, frame_mask, cycle_cost)
+        if capture is not None:
+            capture.append(ExitFrame(result.reason, cycle_cost, frame_mask, gprs,
+                                     tuple(vmcs.reads), tuple(vmcs.writes)))
+            vmcs.reads = vmcs.writes = None
         if result.outcome is ExitOutcome.RESUME:
             self.vm.apply_post(op)
         return result
@@ -150,7 +170,7 @@ class Session:
 
     def snapshot(self) -> SessionSnapshot:
         return SessionSnapshot(
-            vmcs_values=self.vm.vmcs.copy_values(),
+            vmcs_values=dict(self.vm.vmcs.values),
             launch_state=int(self.vm.vmcs.launch_state),
             gprs=list(self.vm.gprs.regs),
             tsc=self.hyp.tsc,

@@ -286,9 +286,6 @@ class GprFile:
     def write(self, gpr: int, value: int) -> None:
         self.regs[gpr] = value & MASK64
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GprFile) and self.regs == other.regs
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{n}={v:#x}" for n, v in zip(GPR_NAMES, self.regs))
         return f"GprFile({pairs})"
@@ -328,18 +325,19 @@ class LifecycleError(VmxError):
 class Vmcs:
     """Flat VMCS: values by compact encoding plus the launch-state machine.
 
-    vmread/vmwrite are the handler-facing operations and fire the observer
-    hooks; hw_set/hw_get are the context-save/machinery path and bypass both
-    the hooks and the access class, the way hardware does.
+    vmread/vmwrite are the handler-facing operations; while `reads`/`writes`
+    is a list, each appends its (encoding, value) there. hw_set/hw_get are the
+    context-save/machinery path and bypass both the logs and the access class,
+    the way hardware does.
     """
 
-    __slots__ = ("values", "launch_state", "on_read", "on_write", "read_override")
+    __slots__ = ("values", "launch_state", "reads", "writes", "read_override")
 
     def __init__(self) -> None:
         self.values: dict[int, int] = {}
         self.launch_state = LaunchState.INACTIVE
-        self.on_read = None        # callable(encoding, value) or None
-        self.on_write = None       # callable(encoding, value) or None
+        self.reads: list[tuple[int, int]] | None = None    # vmread log, or None
+        self.writes: list[tuple[int, int]] | None = None   # vmwrite log, or None
         self.read_override = None  # callable(encoding) -> value, RO fields only
 
     # lifecycle -------------------------------------------------------------
@@ -369,8 +367,8 @@ class Vmcs:
             value = self.read_override(encoding)
         else:
             value = self.values[encoding]
-        if self.on_read is not None:
-            self.on_read(encoding, value)
+        if self.reads is not None:
+            self.reads.append((encoding, value))
         return value
 
     def vmwrite(self, encoding: int, value: int) -> None:
@@ -381,8 +379,8 @@ class Vmcs:
             raise ReadOnlyField(encoding)
         value &= MASK64
         self.values[encoding] = value
-        if self.on_write is not None:
-            self.on_write(encoding, value)
+        if self.writes is not None:
+            self.writes.append((encoding, value))
 
     # machinery access (context save, entry checks, seed injection) ----------
     def hw_set(self, encoding: int, value: int) -> None:
@@ -394,9 +392,6 @@ class Vmcs:
         if encoding not in FIELD_TABLE:
             raise UnknownField(encoding)
         return self.values[encoding]
-
-    def copy_values(self) -> dict[int, int]:
-        return dict(self.values)
 
 
 # ---------------------------------------------------------------------------

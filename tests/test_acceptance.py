@@ -23,7 +23,6 @@ from vmxrr.hypervisor import (
     HANDLER_COST,
     OTHER_HANDLER_COST,
     base_exit_cost,
-    popcount,
     recording_overhead,
 )
 from vmxrr.recorder import (
@@ -34,6 +33,7 @@ from vmxrr.recorder import (
     FieldTableMismatch,
     Trace,
     record,
+    seed_payload_bytes,
     trace_from_bytes,
     trace_to_bytes,
 )
@@ -80,14 +80,14 @@ def test_c01_seed_payload_size_law():
     for k in range(1, 33):
         reads = tuple((GUEST_RIP, j) for j in range(k))
         frame = ExitFrame(16, 3500, 0, gprs, reads, ())
-        payload = frame.seed_payload_bytes()
+        payload = seed_payload_bytes(frame)
         assert len(payload) == 10 * (15 + k)
         if k == 32:
             assert len(payload) == 470
     # Recorded frames obey the same law: 15 GPRs plus one entry per VMREAD.
     for frame in _recorded("CpuBound").trace.frames[:50]:
         assert len(frame.gprs) == 15
-        assert len(frame.seed_payload_bytes()) == 10 * (15 + len(frame.reads))
+        assert len(seed_payload_bytes(frame)) == 10 * (15 + len(frame.reads))
     assert time.monotonic() - t0 < 1.0
 
 
@@ -108,7 +108,7 @@ def test_c02_replay_accuracy():
         assert nacc.block_fitting >= 92.0, (profile, nacc.block_fitting)
         # Injected interrupts perturb at most a few blocks per exit, never
         # a wholesale different handler path.
-        worst = max(popcount(rec ^ rep) for _, rec, rep in nresult.frame_masks)
+        worst = max((rec ^ rep).bit_count() for _, rec, rep in nresult.frame_masks)
         assert worst <= 30, (profile, worst)
         assert nacc.noise_filtered > 0, profile
         assert time.monotonic() - t0 < 30.0, profile

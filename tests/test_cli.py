@@ -182,7 +182,7 @@ _REPLAY_OUTPUTS = {
     "idle.json":
         "804142ff0d3b0a88ff8059e6d16249c234f83aa066560c0b7333e4485c0283d7",
     "idle-fresh.json":
-        "877073c2a4b6b91f30478dd0fc8f597d86234a1a52fbdf8f83ebae0e28be7781",
+        "f8fff61020b6925eab7e371cf6b0533e80805cab196a4d5394fb3c9067f473ed",
     "speedups.txt":
         "c7633a58d866535a4772ff1a115f45e988ce70d94009ca2657e15ffb86275064",
     "trajectory-trace.txt":
@@ -205,6 +205,10 @@ def test_replay_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
                       "--with-metrics", "--report", f"{name}.json", "--quiet"]) == EXIT_OK
     assert entry(["replay", "idle.iris", "--with-metrics",
                   "--report", "idle-fresh.json", "--quiet"]) == EXIT_VM_CRASH
+    # The fresh-VM replay stops at exit 0, so both cycle counts cover only it.
+    fresh = json.loads((tmp_path / "idle-fresh.json").read_text())
+    assert fresh["completed"] == 1
+    assert fresh["record_cycles"] == load_trace(tmp_path / "idle.iris").frames[0].cycle_cost
     for argv in (
         ["speedups", "--replay", "boot.json", "--replay", "noisy.json",
          "--replay", "idle.json", "--out", "speedups.txt"],
@@ -243,6 +247,16 @@ def test_noise_outside_zero_to_one_is_a_usage_error(noise, tmp_path, capsys):
                "--out", str(tmp_path / "cpu")])
     assert exc.value.code == EXIT_USAGE
     assert "probability" in capsys.readouterr().err
+    assert not (tmp_path / "cpu.iris").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--rng-seed"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_is_a_usage_error(flag, seed, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        entry(["record", "CpuBound", "10", flag, seed, "--out", str(tmp_path / "cpu")])
+    assert exc.value.code == EXIT_USAGE
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
     assert not (tmp_path / "cpu.iris").exists()
 
 
@@ -331,6 +345,35 @@ def test_report_input_of_the_wrong_shape_is_a_format_error(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {path} is not ")
+
+
+@pytest.mark.parametrize(
+    "kind,content,key",
+    [
+        ("fitting", {"fitting_curve": 5}, "fitting_curve"),
+        ("fitting", {"fitting_curve": [1.0, [2]]}, "fitting_curve"),
+        ("trajectory", {"mode_timeline": 3, "frames": 2}, "mode_timeline"),
+        ("trajectory", {"mode_timeline": [[-1, "MODE3"]], "frames": "2"}, "frames"),
+        ("diffs", {"diffs_by_reason": [1]}, "diffs_by_reason"),
+        ("diffs", {}, "diffs_by_reason"),
+        ("speedups", {"profile": "a", "frames": 1, "record_cycles": "x",
+                      "replay_cycles": 2}, "record_cycles"),
+        ("deltas", [{"profile": "a", "area": "gpr", "reason": 16,
+                     "coverage_delta_pct": 0.0}], "reason"),
+    ],
+    ids=["fitting-int", "fitting-nested-list", "trajectory-int", "trajectory-frames-str",
+         "diffs-list", "diffs-missing", "speedups-str-cycles", "deltas-int-reason"],
+)
+def test_report_input_with_a_mistyped_key_is_a_format_error(
+    kind, content, key, tmp_path, capsys
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    flag = "--campaigns" if kind == "deltas" else "--replay"
+    assert entry(["report", kind, flag, str(path)]) == EXIT_FORMAT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: key {key!r} ")
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ from vmxrr.fuzzer import (
     run_config,
     run_test_case,
 )
-from vmxrr.hypervisor import popcount
 from vmxrr.recorder import (
     SEED_ENTRY_SIZE,
     ExitFrame,
     record,
     save_snapshot,
     save_trace,
+    seed_payload_bytes,
     snapshot_to_bytes,
     trace_to_bytes,
 )
@@ -70,22 +70,22 @@ def test_mutation_flips_exactly_one_bit():
         for _ in range(50):
             mutation = mutate_random(frame, area, rng)
             mutant = apply_mutation(frame, mutation)
-            assert _hamming(frame.seed_payload_bytes(),
-                            mutant.seed_payload_bytes()) == 1
+            assert _hamming(seed_payload_bytes(frame),
+                            seed_payload_bytes(mutant)) == 1
 
 
 def test_mutation_is_an_involution():
     frame, _ = _rdtsc_frame()
     mutation = Mutation(AREA_VMCS, 0, 17)
     back = apply_mutation(apply_mutation(frame, mutation), mutation)
-    assert back.seed_payload_bytes() == frame.seed_payload_bytes()
+    assert seed_payload_bytes(back) == seed_payload_bytes(frame)
     assert back.writes == frame.writes
 
 
 def test_mutation_never_touches_flags_or_encodings():
     frame, _ = _rdtsc_frame()
     mutant = apply_mutation(frame, Mutation(AREA_GPR, 4, 63))
-    before, after = frame.seed_payload_bytes(), mutant.seed_payload_bytes()
+    before, after = seed_payload_bytes(frame), seed_payload_bytes(mutant)
     for pos in range(0, len(before), SEED_ENTRY_SIZE):
         assert before[pos:pos + 2] == after[pos:pos + 2]    # flag, encoding
     changed = [
@@ -204,7 +204,8 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
         else:
             result.clean += 1
     result.coverage_delta_pct = (
-        100.0 * popcount(result.campaign_mask & ~baseline_mask) / popcount(baseline_mask)
+        100.0 * (result.campaign_mask & ~baseline_mask).bit_count()
+        / baseline_mask.bit_count()
     )
     for rec in result.crashes:
         session.restore(base_state)
@@ -289,8 +290,8 @@ def test_campaign_coverage_contains_the_baseline():
     assert result.campaign_mask & result.baseline_mask == result.baseline_mask
     expect = (
         100.0
-        * popcount(result.campaign_mask & ~result.baseline_mask)
-        / popcount(result.baseline_mask)
+        * (result.campaign_mask & ~result.baseline_mask).bit_count()
+        / result.baseline_mask.bit_count()
     )
     assert result.coverage_delta_pct == pytest.approx(expect)
     assert result.mutants == result.clean + result.divergent + sum(
@@ -468,4 +469,4 @@ def test_campaign_json_names_the_reason():
     blob = result.to_json()
     assert blob["reason"] == "RDTSC"
     assert blob["name"] == "tiny"
-    assert blob["baseline_blocks"] == popcount(result.baseline_mask)
+    assert blob["baseline_blocks"] == result.baseline_mask.bit_count()

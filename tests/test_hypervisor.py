@@ -19,7 +19,6 @@ from vmxrr.hypervisor import (
     Hypervisor,
     base_exit_cost,
     coverage_blocks_csv,
-    popcount,
     recording_overhead,
 )
 from vmxrr.vmx import (
@@ -129,11 +128,10 @@ def test_coverage_bitmap_frame_and_union():
     assert BLOCK_COUNT <= 8 * COVERAGE_BYTES     # every mask fits the trace bitmap
 
 
-def test_blocks_of_and_popcount():
+def test_blocks_of_lists_the_set_bits():
     mask = (1 << 150) | (1 << 7) | 1
     assert _blocks_of(mask) == [0, 7, 150]
-    assert popcount(mask) == 3
-    assert popcount(0) == 0
+    assert _blocks_of(0) == []
 
 
 # ---------------------------------------------------------------------------

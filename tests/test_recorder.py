@@ -13,7 +13,6 @@ from vmxrr.recorder import (
     BadVersion,
     ExitFrame,
     FieldTableMismatch,
-    Recorder,
     Trace,
     TraceCorrupt,
     TraceFormatError,
@@ -23,6 +22,8 @@ from vmxrr.recorder import (
     record,
     save_snapshot,
     save_trace,
+    seed_payload_bytes,
+    seed_payload_size,
     snapshot_from_bytes,
     snapshot_to_bytes,
     trace_from_bytes,
@@ -81,7 +82,7 @@ def _mutate(data: bytes, offset: int, value: int) -> bytes:
 
 def test_seed_entry_is_ten_bytes():
     frame = ExitFrame(int(ExitReason.RDTSC), 0, 0, reads=((7, 0x1122334455667788),))
-    packed = frame.seed_payload_bytes()
+    packed = seed_payload_bytes(frame)
     assert SEED_ENTRY_SIZE == 10
     assert len(packed) == 10
     assert packed == struct.pack("<BBQ", 0x02, 7, 0x1122334455667788)
@@ -97,8 +98,8 @@ def test_seed_payload_size_law():
             (0,) * 15,
             ((100, 0),) * k,
         )
-        assert frame.seed_payload_size() == 10 * (15 + k)
-        assert len(frame.seed_payload_bytes()) == 10 * (15 + k)
+        assert seed_payload_size(frame) == 10 * (15 + k)
+        assert len(seed_payload_bytes(frame)) == 10 * (15 + k)
     assert 10 * (15 + 32) == 470
 
 
@@ -108,8 +109,8 @@ def test_recorded_frames_obey_the_payload_law():
     for frame in trace.frames:
         assert len(frame.gprs) == 15
         assert len(frame.reads) >= 1     # dispatch reads the exit reason
-        assert frame.seed_payload_size() == 10 * (15 + len(frame.reads))
-        payload = frame.seed_payload_bytes()
+        assert seed_payload_size(frame) == 10 * (15 + len(frame.reads))
+        payload = seed_payload_bytes(frame)
         assert payload == b"".join(
             [struct.pack("<BBQ", FLAG_GPR, i, v) for i, v in enumerate(frame.gprs)]
             + [struct.pack("<BBQ", FLAG_VMCS_READ, e, v) for e, v in frame.reads]
@@ -282,6 +283,12 @@ def test_snapshot_missing_a_field_is_rejected():
         snapshot_from_bytes(snapshot_to_bytes(partial))
 
 
+def test_unpackable_values_leave_no_file(tmp_path):
+    with pytest.raises(struct.error):
+        save_trace(Trace("CpuBound", -1, 0), tmp_path / "t.iris")
+    assert not (tmp_path / "t.iris").exists()
+
+
 def test_overlong_profile_name_is_rejected():
     trace = Trace("x" * 300, 0, 0)
     with pytest.raises(ValueError):
@@ -292,19 +299,13 @@ def test_overlong_profile_name_is_rejected():
 # Live recording
 # ---------------------------------------------------------------------------
 
-def test_recorder_attach_detach():
+def test_record_captures_from_the_start_state():
+    assert record("CpuBound", 1, 10).trace.initial_cr0 == CR0_PE | CR0_PG
     session, _ = prepare_session("CpuBound", 1, 10)
-    recorder = Recorder("CpuBound", 1)
-    recorder.attach(session)
-    assert session.recorder is recorder
-    assert session.vm.vmcs.on_read is not None
-    assert recorder.initial_cr0 == CR0_PE | CR0_PG
+    session.capture = []
     with pytest.raises(RuntimeError):
-        Recorder("CpuBound", 1).attach(session)
-    recorder.detach()
-    assert session.recorder is None
-    assert session.vm.vmcs.on_read is None
-    assert session.vm.vmcs.on_write is None
+        session.auto_boot(1)
+    assert session.capture == []
 
 
 def test_record_cycles_equal_the_frame_costs():

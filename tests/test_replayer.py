@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from vmxrr.hypervisor import base_exit_cost, popcount
+from vmxrr.hypervisor import base_exit_cost
 from vmxrr.recorder import ExitFrame, record
 from vmxrr.replayer import (
     ASYNC_MASK,
@@ -22,7 +22,11 @@ from vmxrr.replayer import (
     trajectory_of_replay,
     trajectory_of_trace,
 )
-from vmxrr.session import CYCLES_PER_SECOND, REFERENCE_EXITS_PER_SECOND
+from vmxrr.session import (
+    CYCLES_PER_SECOND,
+    REFERENCE_EXITS_PER_SECOND,
+    prepare_session,
+)
 from vmxrr.vmx import (
     CR0_ET,
     CR0_PE,
@@ -83,6 +87,17 @@ def test_replay_clock_counts_base_costs_only():
         base_exit_cost(f.reason) for f in outcome.trace.frames
     )
     assert replay.replay_clock < outcome.record_cycles
+
+
+def test_nothing_is_logged_when_nothing_records():
+    session, _ = prepare_session("CpuBound", 5, 10)    # auto_boot drives six exits
+    assert session.total_exits == 6
+    assert session.vm.vmcs.reads is None and session.vm.vmcs.writes is None
+    outcome = _recorded()
+    replayer = Replayer(outcome.start_snapshot)
+    assert replayer.replay_trace(outcome.trace).clean
+    assert replayer.session.vm.vmcs.reads is None
+    assert replayer.session.vm.vmcs.writes is None
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +335,7 @@ def test_measured_throughput_matches_the_ideal():
     assert measured.total_cycles == ideal.total_cycles
     assert measured.exits_per_second == pytest.approx(ideal.exits_per_second)
     assert coverage_union == IDEAL_COVERAGE_MASK
-    assert popcount(IDEAL_COVERAGE_MASK) == 5
+    assert IDEAL_COVERAGE_MASK.bit_count() == 5
 
 
 def test_speedup_favors_idle_guests():

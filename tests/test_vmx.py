@@ -178,17 +178,22 @@ def test_read_override_applies_only_to_read_only_fields():
     assert vmcs.vmread(VM_INSTRUCTION_ERROR) == 0xAB
 
 
-def test_read_and_write_hooks_fire_in_order():
+def test_access_logs_keep_handler_accesses_in_order():
     vmcs = Vmcs()
     vmcs.vmclear()
-    events = []
-    vmcs.on_read = lambda enc, val: events.append(("r", enc, val))
-    vmcs.on_write = lambda enc, val: events.append(("w", enc, val))
+    vmcs.reads, vmcs.writes = [], []
     vmcs.vmwrite(GUEST_RIP, 7)
     vmcs.vmread(GUEST_RIP)
+    vmcs.vmwrite(GUEST_RIP, 8)
+    vmcs.vmread(EXIT_REASON)
     vmcs.hw_set(GUEST_RIP, 9)     # hardware path must stay invisible
     vmcs.hw_get(GUEST_RIP)
-    assert events == [("w", GUEST_RIP, 7), ("r", GUEST_RIP, 7)]
+    assert vmcs.writes == [(GUEST_RIP, 7), (GUEST_RIP, 8)]
+    assert vmcs.reads == [(GUEST_RIP, 7), (EXIT_REASON, 0)]
+    vmcs.reads = vmcs.writes = None
+    vmcs.vmwrite(GUEST_RIP, 10)
+    assert vmcs.vmread(GUEST_RIP) == 10
+    assert vmcs.reads is None and vmcs.writes is None
 
 
 # ---------------------------------------------------------------------------
