@@ -254,7 +254,8 @@ _REPORT_KEYS = {
     "fitting": {"fitting_curve": [float]},
     "diffs": {"diffs_by_reason": {str: int}},
     "deltas": {"profile": str, "area": str, "reason": str, "coverage_delta_pct": float},
-    "speedups": {"profile": str, "frames": int, "record_cycles": int, "replay_cycles": int},
+    "speedups": {"profile": str, "completed": int, "record_cycles": int,
+                 "replay_cycles": int},
 }
 
 

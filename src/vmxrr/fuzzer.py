@@ -6,11 +6,12 @@ the exit's seed from the same snapshot. Mutating the injected inputs instead
 of the live guest means every mutant starts from bit-identical state, so a
 crash found here is a crash of the handler logic, not of the harness.
 
-So a mutant's outcome depends only on the bit it flips: each distinct flip is
-replayed once, and repeat draws are counted from its stored outcome. The
-results and artifacts are those of replaying every mutant. A mutant crashed
-when its replayed exit reports a crash (`FrameReplay.crash`, the hypervisor's
-own `CrashInfo`); crashes with equal kind and detail are one crash.
+A mutant's outcome depends only on the bit it flips. So one loop draws every
+mutant and tallies each distinct mutation's first mutant index and draws, and
+a second replays each distinct mutation once, in first-draw order, and adds
+its outcome weighted by its draws: the results and artifacts of replaying
+every mutant. A mutant crashed when its replayed exit reports a crash
+(`FrameReplay.crash`); crashes with equal kind and detail are one crash.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .hypervisor import CrashInfo
 from .recorder import (
@@ -25,11 +27,11 @@ from .recorder import (
     Trace,
     load_snapshot,
     load_trace,
-    save_snapshot,
     save_trace,
+    snapshot_to_bytes,
 )
 from .replayer import Replayer
-from .rng import SplitMix64
+from .rng import MASK64, SplitMix64
 from .session import SessionSnapshot
 from .vmx import ExitReason, guest_cr0_view
 
@@ -56,8 +58,7 @@ class CampaignSetupError(FuzzError):
     pass
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(NamedTuple):
     area: str
     entry_index: int
     bit: int
@@ -213,49 +214,47 @@ def run_test_case(
     if baseline_mask == 0:
         raise EmptyBaseline(f"exit {frame_index} covered no blocks")
 
+    # mutation -> [first mutant index, draws], in first-draw order
     rng = SplitMix64(rng_seed)
+    tally: dict[Mutation, list[int]] = {}
+    for m in range(mutants):
+        mutation = mutate_random(target, area, rng)
+        drawn = tally.get(mutation)
+        if drawn is None:
+            tally[mutation] = [m, 1]
+        else:
+            drawn[1] += 1
+
     campaign_mask = baseline_mask
     failures = {"VmCrash": 0, "HypCrash": 0}
     divergent = 0
     clean = 0
     divergence_kinds: dict[str, int] = {}
-    crashes: list[CrashRecord] = []
     seen: dict[CrashInfo, CrashRecord] = {}
-    # (entry_index, bit) -> (coverage mask, crash, divergence kinds)
-    outcomes: dict[tuple[int, int], tuple] = {}
-
-    for m in range(mutants):
-        mutation = mutate_random(target, area, rng)
-        key = (mutation.entry_index, mutation.bit)
-        outcome = outcomes.get(key)
-        if outcome is None:
-            session.restore(base_state)
-            fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
-            outcome = outcomes[key] = (
-                fr.coverage_mask, fr.crash, tuple(d.kind for d in fr.divergences),
-            )
-        mask, crash, kinds = outcome
-        campaign_mask |= mask
+    for mutation, (first, count) in tally.items():
+        session.restore(base_state)
+        fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
+        campaign_mask |= fr.coverage_mask
+        crash = fr.crash
         if crash is not None:
-            failures[crash.kind] += 1
-            rec = seen.get(crash)
-            if rec is None:
-                rec = seen[crash] = CrashRecord(crash.kind, crash.detail, m, mutation)
-                crashes.append(rec)
-            else:
-                rec.count += 1
-        elif kinds:
-            divergent += 1
-            for k in kinds:
-                divergence_kinds[k] = divergence_kinds.get(k, 0) + 1
+            failures[crash.kind] += count
+            if crash not in seen:
+                seen[crash] = CrashRecord(crash.kind, crash.detail, first, mutation, 0)
+            seen[crash].count += count
+        elif fr.divergences:
+            divergent += count
+            for d in fr.divergences:
+                divergence_kinds[d.kind] = divergence_kinds.get(d.kind, 0) + count
         else:
-            clean += 1
+            clean += count
+    crashes = list(seen.values())
 
     delta = 100.0 * (campaign_mask & ~baseline_mask).bit_count() / baseline_mask.bit_count()
 
     out_dir = Path(artifact_dir) if artifact_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        snapshot_bytes = snapshot_to_bytes(base_state)    # every artifact's state
     for rec in crashes:
         session.restore(base_state)
         mutant_frame = apply_mutation(target, rec.mutation)
@@ -263,7 +262,7 @@ def run_test_case(
         rec.revalidated = fr.crash == CrashInfo(rec.kind, rec.detail)
         if out_dir is not None:
             rec.artifact = _write_artifact(
-                out_dir, trace, base_state, base_cr0_view, rec, mutant_frame,
+                out_dir, trace, snapshot_bytes, base_cr0_view, rec, mutant_frame,
                 frame_index,
             )
 
@@ -295,7 +294,7 @@ def run_test_case(
 def _write_artifact(
     out_dir: Path,
     trace: Trace,
-    base_state: SessionSnapshot,
+    snapshot_bytes: bytes,
     base_cr0_view: int,
     rec: CrashRecord,
     mutant_frame: ExitFrame,
@@ -309,7 +308,7 @@ def _write_artifact(
         frames=[mutant_frame],
     )
     save_trace(fragment, out_dir / f"{stem}.iris")
-    save_snapshot(base_state, out_dir / f"{stem}.irisnap")
+    (out_dir / f"{stem}.irisnap").write_bytes(snapshot_bytes)
     meta = {
         "kind": rec.kind,
         "detail": rec.detail,
@@ -430,6 +429,8 @@ def run_config(
         try:
             mutants = _config_int(job, "mutants", DEFAULT_MUTANTS)
             rng_seed = _config_int(job, "rng_seed", default_rng_seed)
+            if not 0 <= rng_seed <= MASK64:
+                raise CampaignSetupError(f"'rng_seed' must be in [0, 2**64), not {rng_seed}")
             trace_path = str(base / job["trace"])
             snap_path = str(base / job["snapshot"])
             if trace_path not in traces:

@@ -22,6 +22,11 @@ Trace container (.iris), all integers little-endian:
            cycle_cost u64 | coverage bitmap (19 bytes raw) | entries...
     entry: flag u8 | encoding u8 | value u64            (10 bytes)
 
+The frame header's reason is the reason the recorder dispatched (the low 16
+bits of the EXIT_REASON read at record time). Replay dispatches on the seed's
+EXIT_REASON read, and a crash artifact's mutated read may differ from its
+header, so the loader does not compare the two.
+
 Snapshot container (.irisnap) carries resumable session state under the same
 integrity scheme with magic "IRSN": every VMCS field, sorted by encoding.
 """

@@ -208,14 +208,15 @@ def render_deltas(campaigns: list[dict], fmt: str = "text") -> str:
 # ---------------------------------------------------------------------------
 
 def render_speedups(entries: list[dict], fmt: str = "text") -> str:
-    """Entries need profile, frames, record_cycles, and replay_cycles keys;
-    the replay summary JSON has all four."""
+    """Entries need profile, completed, record_cycles, and replay_cycles
+    keys; the replay summary JSON has all four. The cycles cover only the
+    completed exits, so that is the exits column."""
     rows = []
     for e in sorted(entries, key=lambda e: e["profile"]):
         rec = e["record_cycles"]
         rep = e["replay_cycles"]
         ratio = f"{speedup(rec, rep):.2f}x"
-        rows.append([e["profile"], str(e["frames"]), str(rec), str(rep), ratio])
+        rows.append([e["profile"], str(e["completed"]), str(rec), str(rep), ratio])
     headers = ["profile", "exits", "record_cycles", "replay_cycles", "speedup"]
     if fmt == "csv":
         return _csv(headers, rows)

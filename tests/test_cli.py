@@ -209,6 +209,11 @@ def test_replay_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
     fresh = json.loads((tmp_path / "idle-fresh.json").read_text())
     assert fresh["completed"] == 1
     assert fresh["record_cycles"] == load_trace(tmp_path / "idle.iris").frames[0].cycle_cost
+    capsys.readouterr()
+    assert entry(["report", "speedups", "--replay", "idle-fresh.json"]) == EXIT_OK
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["profile", "exits"]
+    assert row.split()[:2] == ["Idle", "1"]
     for argv in (
         ["speedups", "--replay", "boot.json", "--replay", "noisy.json",
          "--replay", "idle.json", "--out", "speedups.txt"],
@@ -356,7 +361,7 @@ def test_report_input_of_the_wrong_shape_is_a_format_error(
         ("trajectory", {"mode_timeline": [[-1, "MODE3"]], "frames": "2"}, "frames"),
         ("diffs", {"diffs_by_reason": [1]}, "diffs_by_reason"),
         ("diffs", {}, "diffs_by_reason"),
-        ("speedups", {"profile": "a", "frames": 1, "record_cycles": "x",
+        ("speedups", {"profile": "a", "completed": 1, "record_cycles": "x",
                       "replay_cycles": 2}, "record_cycles"),
         ("deltas", [{"profile": "a", "area": "gpr", "reason": 16,
                      "coverage_delta_pct": 0.0}], "reason"),
@@ -449,10 +454,13 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
         ("select", {"first_of_reason": True}, "first_of_reason"),
         ("name", [1], "name"),
         ("name", None, "name"),
+        ("rng_seed", 2**64, "rng_seed"),
+        ("rng_seed", -1, "rng_seed"),
     ],
     ids=["select-int", "reason-null", "reason-list", "mutants-list",
          "rng-seed-null", "trace-int", "artifacts-int", "reason-unknown-code",
-         "reason-negative", "reason-bool", "name-list", "name-null"],
+         "reason-negative", "reason-bool", "name-list", "name-null",
+         "rng-seed-2-64", "rng-seed-negative"],
 )
 def test_fuzz_mistyped_config_value_is_a_format_error(
     key, value, named, workdir, tmp_path, capsys
@@ -499,7 +507,8 @@ def test_fuzz_config_accepts_int_like_values(workdir, tmp_path, capsys):
 def test_bit_flipped_inputs_end_in_a_documented_status(tmp_path, monkeypatch):
     """Self-fuzz: one bit flipped per run in the .iris, the .irisnap or the
     campaign config. The binary containers get a fresh trailer, so mutants
-    get past the integrity hash into the parsers."""
+    get past the integrity hash into the parsers. Then one bit flipped per
+    run in a --report JSON or a campaigns.json, read by every report kind."""
     monkeypatch.chdir(tmp_path)
     assert entry(["record", "OsBoot", "40", "--seed", "7",
                   "--out", "boot", "--quiet"]) == EXIT_OK
@@ -535,6 +544,27 @@ def test_bit_flipped_inputs_end_in_a_documented_status(tmp_path, monkeypatch):
                               EXIT_HYP_CRASH}, (target, bit, argv)
             statuses.add(status)
     assert {EXIT_OK, EXIT_FORMAT} <= statuses
+
+    for name, original in originals.items():
+        (tmp_path / name).write_bytes(original)
+    assert entry(["replay", "boot.iris", "--from", "boot.irisnap", "--with-metrics",
+                  "--report", "report.json", "--quiet"]) == EXIT_OK
+    assert entry(["fuzz", "fuzz.json", "--out-dir", "out", "--quiet"]) == EXIT_OK
+    inputs = [(tmp_path / "report.json").read_bytes(),
+              (tmp_path / "out" / "campaigns.json").read_bytes()]
+    statuses = set()
+    for _ in range(40):
+        data = bytearray(inputs[rng.below(len(inputs))])
+        bit = rng.below(8 * len(data))
+        data[bit // 8] ^= 1 << (bit % 8)
+        (tmp_path / "input.json").write_bytes(bytes(data))
+        for kind, flag in (("histogram", "--trace"), ("trajectory", "--replay"),
+                           ("fitting", "--replay"), ("diffs", "--replay"),
+                           ("deltas", "--campaigns"), ("speedups", "--replay")):
+            status = entry(["report", kind, flag, "input.json", "--out", "report.txt"])
+            assert status in {EXIT_OK, EXIT_FORMAT}, (bytes(data), kind)
+            statuses.add(status)
+    assert statuses == {EXIT_OK, EXIT_FORMAT}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from vmxrr import fuzzer
 from vmxrr.fuzzer import (
     AREA_GPR,
     AREA_VMCS,
@@ -233,7 +234,8 @@ def test_reused_outcomes_match_replaying_every_mutant(profile, reason, area, cha
                                     area, mutants=2000, rng_seed=0)
     result = run_test_case(outcome.trace, outcome.start_snapshot, idx, area,
                            mutants=2000, rng_seed=0)
-    assert result.to_json() == reference.to_json()
+    # Serialized, so the order of crashes and divergence kinds counts too.
+    assert json.dumps(result.to_json()) == json.dumps(reference.to_json())
     # Each cell exercises the outcome it was chosen for.
     if character == "crashes":
         assert sum(result.failures.values()) > 0 and result.crashes
@@ -263,7 +265,7 @@ def test_each_distinct_mutation_is_replayed_once(monkeypatch):
     monkeypatch.setattr(Session, "restore", counting_restore)
     monkeypatch.setattr(Replayer, "replay_frame", counting_replay_frame)
     counts = {}
-    for mutants in (2000, 10000):
+    for mutants in (2000, 10000, 30000):
         rng = SplitMix64(0)
         drawn = [mutate_random(target, AREA_VMCS, rng) for _ in range(mutants)]
         distinct = len({(mu.entry_index, mu.bit) for mu in drawn})
@@ -279,7 +281,25 @@ def test_each_distinct_mutation_is_replayed_once(monkeypatch):
         assert calls["restore"] == 1 + distinct + revalidations
         assert calls["replay_frame"] == idx + 1 + distinct + revalidations
         counts[mutants] = dict(calls)
-    assert counts[2000] == counts[10000]
+    assert counts[2000] == counts[10000] == counts[30000]
+
+
+def test_every_mutant_is_drawn_through_mutate_random(monkeypatch):
+    # One call per mutant, repeats included: the benchmark's tracer counts
+    # the mutants and their distinct draws from these calls.
+    outcome = _recorded("OsBoot", 7, 300)
+    idx = find_frame(outcome.trace, {"first_of_reason": "CR_ACCESS"})
+    drawn = []
+
+    def counting_mutate_random(frame, area, rng):
+        drawn.append(mutate_random(frame, area, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(fuzzer, "mutate_random", counting_mutate_random)
+    result = run_test_case(outcome.trace, outcome.start_snapshot, idx, AREA_VMCS,
+                           mutants=2000, rng_seed=0)
+    assert len(drawn) == result.mutants == 2000
+    assert len(set(drawn)) < len(drawn)
 
 
 def test_campaign_coverage_contains_the_baseline():
