@@ -334,7 +334,7 @@ class CrashInfo:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DispatchResult:
     outcome: ExitOutcome
     reason: int

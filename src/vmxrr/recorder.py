@@ -27,8 +27,11 @@ bits of the EXIT_REASON read at record time). Replay dispatches on the seed's
 EXIT_REASON read, and a crash artifact's mutated read may differ from its
 header, so the loader does not compare the two.
 
+The algo string must be the RNG_ALGORITHM tag; the loader rejects any other.
+
 Snapshot container (.irisnap) carries resumable session state under the same
-integrity scheme with magic "IRSN": every VMCS field, sorted by encoding.
+integrity scheme with magic "IRSN": every VMCS field once, in strictly
+ascending encoding order (the loader rejects repeats and disorder).
 """
 
 from __future__ import annotations
@@ -104,8 +107,6 @@ class Trace:
     workload_seed: int
     initial_cr0: int
     frames: list[ExitFrame] = field(default_factory=list)
-    rng_algorithm: str = RNG_ALGORITHM
-    field_table_hash: int = FIELD_TABLE_HASH
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +142,10 @@ def trace_to_bytes(trace: Trace) -> bytes:
     out = bytearray()
     out += TRACE_MAGIC
     out += struct.pack("<H", FORMAT_VERSION)
-    out += struct.pack("<Q", trace.field_table_hash)
+    out += struct.pack("<Q", FIELD_TABLE_HASH)
     out += struct.pack("<Q", trace.initial_cr0)
     out += struct.pack("<Q", trace.workload_seed)
-    out += _pack_str(trace.rng_algorithm)
+    out += _pack_str(RNG_ALGORITHM)
     out += _pack_str(trace.profile)
     out += struct.pack("<I", len(trace.frames))
     pack = _ENTRY.pack
@@ -250,6 +251,8 @@ def trace_from_bytes(data: bytes) -> Trace:
     initial_cr0 = cur.u64()
     workload_seed = cur.u64()
     algorithm = cur.string()
+    if algorithm != RNG_ALGORITHM:
+        raise TraceFormatError(f"trace rng {algorithm!r}, expected {RNG_ALGORITHM!r}")
     profile = cur.string()
     frame_count = cur.u32()
     frames: list[ExitFrame] = []
@@ -266,7 +269,7 @@ def trace_from_bytes(data: bytes) -> Trace:
         frames.append(ExitFrame(reason, cycle_cost, coverage, gprs, reads, writes))
     if cur.pos != len(body):
         raise TraceCorrupt(f"{len(body) - cur.pos} trailing bytes after last frame")
-    return Trace(profile, workload_seed, initial_cr0, frames, algorithm, table_hash)
+    return Trace(profile, workload_seed, initial_cr0, frames)
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -318,10 +321,16 @@ def snapshot_from_bytes(data: bytes) -> SessionSnapshot:
     coverage = int.from_bytes(cur.take(COVERAGE_BYTES), "little")
     gprs = list(struct.unpack(f"<{GPR_COUNT}Q", cur.take(8 * GPR_COUNT)))
     values: dict[int, int] = {}
+    previous = -1
     for _ in range(cur.u16()):
         enc = cur.u8()
         if enc not in FIELD_TABLE:
             raise TraceFormatError(f"snapshot field encoding {enc} unknown")
+        if enc <= previous:
+            raise TraceFormatError(
+                f"snapshot field {FIELD_TABLE[enc].name} repeated or out of order"
+            )
+        previous = enc
         values[enc] = cur.u64()
     missing = FIELD_TABLE.keys() - values.keys()
     if missing:

@@ -6,12 +6,16 @@ writing the registers, loading read-write fields with their recorded values,
 and queueing read-only values so the handler's vmreads pop them in order.
 The handler then re-executes for real, and its writes, coverage, and crashes
 are compared against what was recorded.
+
+A trace replay keeps one FrameReplay per replayed exit, in order; its crash,
+divergences, replay clock and accuracy figures are derived from those records
+and the trace, never kept as running totals.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .guest import GuestOp
 from .hypervisor import (
@@ -73,12 +77,12 @@ class Divergence:
     detail: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameReplay:
     result: DispatchResult | None   # None when a read underflow stopped the handler
     coverage_mask: int
-    writes: list[tuple[int, int]]
-    divergences: list[Divergence]
+    writes: tuple[tuple[int, int], ...]
+    divergences: tuple[Divergence, ...]
     matched_writes: int
 
     @property
@@ -88,22 +92,28 @@ class FrameReplay:
 
 @dataclass
 class ReplayResult:
-    crash: CrashInfo | None
-    divergences: list[Divergence]
-    recorded_union: int
-    replay_clock: int
-    matched_writes: int
-    recorded_writes: int
-    frame_masks: list[tuple[int, int, int]]   # (reason, recorded, replayed)
-    final_writes: list[tuple[int, int]] = field(default_factory=list)
+    trace: Trace
+    frames: list[FrameReplay]    # one per replayed exit: trace.frames[i] -> frames[i]
 
     @property
     def frames_completed(self) -> int:
-        return len(self.frame_masks)
+        return len(self.frames)
+
+    @property
+    def crash(self) -> CrashInfo | None:
+        return self.frames[-1].crash if self.frames else None
+
+    @property
+    def divergences(self) -> list[Divergence]:
+        return [d for fr in self.frames for d in fr.divergences]
+
+    @property
+    def replay_clock(self) -> int:
+        return sum(fr.result.base_cost for fr in self.frames if fr.result is not None)
 
     @property
     def clean(self) -> bool:
-        return not self.divergences and self.crash is None
+        return self.crash is None and not any(fr.divergences for fr in self.frames)
 
 
 class Replayer:
@@ -113,7 +123,6 @@ class Replayer:
         if snapshot is not None:
             self.session.restore(snapshot)
         self.queues: dict[int, deque[int]] = {}
-        self.replay_clock = 0
         self.session.vm.vmcs.read_override = self._override
 
     def _override(self, encoding: int) -> int:
@@ -153,8 +162,6 @@ class Replayer:
             divergences.append(Divergence(index, "read_underflow", str(exc)))
         vmcs.writes = None
         mask = cov.end_frame()
-        if result is not None:
-            self.replay_clock += result.base_cost
         leftover = sum(len(q) for q in self.queues.values() if q)
         if leftover:
             names = ", ".join(
@@ -190,40 +197,18 @@ class Replayer:
                     f"recorded {len(recorded)} writes, replayed {len(writes)}",
                 )
             )
-        return FrameReplay(result, mask, writes, divergences, matched)
+        return FrameReplay(result, mask, tuple(writes), tuple(divergences), matched)
 
     def replay_trace(self, trace: Trace) -> ReplayResult:
         """Replay the frames in order; stop after a frame that underflowed
         its reads or crashed."""
-        divergences: list[Divergence] = []
-        frame_masks: list[tuple[int, int, int]] = []
-        all_writes: list[tuple[int, int]] = []
-        matched_writes = 0
-        recorded_writes = 0
-        crash: CrashInfo | None = None
+        frames: list[FrameReplay] = []
         for i, frame in enumerate(trace.frames):
             fr = self.replay_frame(frame, i)
-            divergences.extend(fr.divergences)
-            matched_writes += fr.matched_writes
-            recorded_writes += len(frame.writes)
-            frame_masks.append((frame.reason, frame.coverage_mask, fr.coverage_mask))
-            all_writes.extend(fr.writes)
-            crash = fr.crash
-            if fr.result is None or crash is not None:
+            frames.append(fr)
+            if fr.result is None or fr.result.crash is not None:
                 break
-        recorded_union = 0
-        for frame in trace.frames:
-            recorded_union |= frame.coverage_mask
-        return ReplayResult(
-            crash=crash,
-            divergences=divergences,
-            recorded_union=recorded_union,
-            replay_clock=self.replay_clock,
-            matched_writes=matched_writes,
-            recorded_writes=recorded_writes,
-            frame_masks=frame_masks,
-            final_writes=all_writes,
-        )
+        return ReplayResult(trace, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +230,42 @@ class AccuracyReport:
 
 
 def compute_accuracy(result: ReplayResult) -> AccuracyReport:
-    write_pct = (
-        100.0 * result.matched_writes / result.recorded_writes
-        if result.recorded_writes
-        else 100.0
-    )
-    diffs_total = 0
-    noise_filtered = 0
+    """The recorded blocks cover the whole trace; every other figure covers
+    the exits the replay completed."""
+    matched_writes = recorded_writes = diffs_total = noise_filtered = 0
     diffs_by_reason: dict[str, int] = {}
     curve: list[float] = []
-    rec_cum = 0
-    rep_cum = 0
-    for reason, rec_mask, rep_mask in result.frame_masks:
+    rec_cum = rep_cum = 0
+    for frame, fr in zip(result.trace.frames, result.frames):
+        matched_writes += fr.matched_writes
+        recorded_writes += len(frame.writes)
+        rec_mask, rep_mask = frame.coverage_mask, fr.coverage_mask
         diff = rec_mask ^ rep_mask
         noise_bits = diff & ASYNC_MASK & rec_mask
         filtered = (diff & ~ASYNC_MASK).bit_count()
         noise_filtered += noise_bits.bit_count()
         diffs_total += filtered
         if filtered:
-            name = reason_name(reason)
+            name = reason_name(frame.reason)
             diffs_by_reason[name] = diffs_by_reason.get(name, 0) + filtered
         rec_cum |= rec_mask
         rep_cum |= rep_mask
         denom = rec_cum.bit_count()
         curve.append(100.0 * rep_cum.bit_count() / denom if denom else 100.0)
-    rec_count = result.recorded_union.bit_count()
+    recorded_union = 0
+    for frame in result.trace.frames:
+        recorded_union |= frame.coverage_mask
+    rec_count = recorded_union.bit_count()
     rep_count = rep_cum.bit_count()    # rep_cum is now the replayed union
     return AccuracyReport(
         block_fitting=100.0 * rep_count / rec_count if rec_count else 100.0,
-        write_exact_pct=write_pct,
+        write_exact_pct=(
+            100.0 * matched_writes / recorded_writes if recorded_writes else 100.0
+        ),
         recorded_blocks=rec_count,
         replayed_blocks=rep_count,
-        matched_writes=result.matched_writes,
-        recorded_writes=result.recorded_writes,
+        matched_writes=matched_writes,
+        recorded_writes=recorded_writes,
         diffs_total=diffs_total,
         diffs_by_reason=diffs_by_reason,
         noise_filtered=noise_filtered,
@@ -313,8 +301,8 @@ def trajectory_of_trace(trace: Trace) -> list[CpuMode]:
 
 
 def trajectory_of_replay(trace: Trace, result: ReplayResult) -> list[CpuMode]:
-    # The replayed writes are one flat stream, so its indexes are not exits.
-    return [mode for _, mode in mode_timeline(trace.initial_cr0, [result.final_writes])]
+    writes = (fr.writes for fr in result.frames)
+    return [mode for _, mode in mode_timeline(trace.initial_cr0, writes)]
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,10 @@ def test_c02_replay_accuracy():
         assert nacc.block_fitting >= 92.0, (profile, nacc.block_fitting)
         # Injected interrupts perturb at most a few blocks per exit, never
         # a wholesale different handler path.
-        worst = max((rec ^ rep).bit_count() for _, rec, rep in nresult.frame_masks)
+        worst = max(
+            (frame.coverage_mask ^ fr.coverage_mask).bit_count()
+            for frame, fr in zip(noisy.trace.frames, nresult.frames)
+        )
         assert worst <= 30, (profile, worst)
         assert nacc.noise_filtered > 0, profile
         assert time.monotonic() - t0 < 30.0, profile
@@ -123,8 +126,9 @@ def test_c03_boot_mode_trajectory():
     assert recorded[:3] == prefix
     assert replayed[:3] == prefix
     assert recorded == replayed
-    assert result.matched_writes == result.recorded_writes
-    assert compute_accuracy(result).write_exact_pct == 100.0
+    acc = compute_accuracy(result)
+    assert acc.matched_writes == acc.recorded_writes
+    assert acc.write_exact_pct == 100.0
 
 
 def test_c04_boot_prefix_dependency():

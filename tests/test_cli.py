@@ -17,10 +17,10 @@ from vmxrr.cli import (
     ManagerMode,
     entry,
 )
-from vmxrr.fuzzer import run_test_case
-from vmxrr.recorder import load_trace, record
+from vmxrr.fuzzer import Mutation, apply_mutation, run_test_case
+from vmxrr.recorder import load_trace, record, save_trace
 from vmxrr.rng import SplitMix64
-from vmxrr.vmx import fnv1a64
+from vmxrr.vmx import GUEST_RIP, fnv1a64
 
 
 @pytest.fixture(scope="module")
@@ -170,10 +170,41 @@ def test_replay_corrupt_file_is_a_format_error(workdir, tmp_path, capsys):
     assert "integrity" in capsys.readouterr().err
 
 
+def test_replay_rejects_a_foreign_rng_tag_and_a_repeated_snapshot_field(
+    workdir, tmp_path, capsys
+):
+    def rehashed(body):
+        return body + struct.pack("<Q", fnv1a64(body))
+
+    trace = (workdir / "cpu.iris").read_bytes()
+    tag = trace.index(b"splitmix64")
+    (tmp_path / "mt.iris").write_bytes(
+        rehashed(trace[:tag] + b"mersenne19" + trace[tag + 10:-8])
+    )
+    snap = (workdir / "cpu.irisnap").read_bytes()[:-8]
+    count_at = 4 + 2 + 8 + 1 + 3 * 8 + 19 + 15 * 8    # the u16 field count
+    count = struct.unpack_from("<H", snap, count_at)[0]
+    assert len(snap) == count_at + 2 + 9 * count
+    (tmp_path / "dup.irisnap").write_bytes(rehashed(
+        snap[:count_at] + struct.pack("<H", count + 1) + snap[count_at + 2:]
+        + struct.pack("<BQ", GUEST_RIP, 0xDEAD)
+    ))
+    for argv, needle in (
+        (["replay", str(tmp_path / "mt.iris")], "mersenne19"),
+        (["replay", str(workdir / "cpu.iris"), "--from", str(tmp_path / "dup.irisnap")],
+         "GUEST_RIP"),
+    ):
+        assert entry(argv) == EXIT_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0], err
+
+
 # sha256 of each replay-side output for 120-exit recordings at seed 7: the
 # --report JSON from a snapshot (OsBoot, OsBoot with noise 0.05, Idle) and
-# from a fresh VM (Idle, which crashes at exit 0), and the report renderings
-# made from them. The reports embed the paths as given, so they are relative.
+# from a fresh VM (Idle, which crashes at exit 0), the OsBoot replay of a trace
+# whose exit 10 carries a flipped GUEST_RIP read (it diverges and goes on), and
+# the report renderings made from them. The reports embed the paths as given,
+# so they are relative.
 _REPLAY_OUTPUTS = {
     "boot.json":
         "ec111e276b1e94359ea064a35461c1c5ec585025616f51782a489c4830945b4d",
@@ -191,6 +222,8 @@ _REPLAY_OUTPUTS = {
         "f8e7b73f6eb70f28437dfe7be34924a9c0b4439c52f6623ed8819d5d4413ffa2",
     "fitting.svg":
         "8908a3ee35afb943963c31e3a064dbd5fbc067b5cc1de660f0568c73d50d6283",
+    "rip.json":
+        "0cf9347f9fc9bb9a0561c33da62c8550eb296712224609dbf4a307ff06c2d769",
 }
 
 
@@ -214,6 +247,16 @@ def test_replay_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
     header, _, row = capsys.readouterr().out.splitlines()
     assert header.split()[:2] == ["profile", "exits"]
     assert row.split()[:2] == ["Idle", "1"]
+    trace = load_trace(tmp_path / "boot.iris")
+    frame = trace.frames[10]
+    k = next(i for i, (encoding, _) in enumerate(frame.reads) if encoding == GUEST_RIP)
+    trace.frames[10] = apply_mutation(frame, Mutation("vmcs", k, 4))
+    save_trace(trace, tmp_path / "rip.iris")
+    assert entry(["replay", "rip.iris", "--from", "boot.irisnap", "--with-metrics",
+                  "--report", "rip.json", "--quiet"]) == EXIT_OK
+    rip = json.loads((tmp_path / "rip.json").read_text())
+    assert rip["divergences"] == 1
+    assert rip["completed"] == 120
     for argv in (
         ["speedups", "--replay", "boot.json", "--replay", "noisy.json",
          "--replay", "idle.json", "--out", "speedups.txt"],

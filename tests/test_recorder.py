@@ -29,6 +29,7 @@ from vmxrr.recorder import (
     trace_from_bytes,
     trace_to_bytes,
 )
+from vmxrr.rng import RNG_ALGORITHM
 from vmxrr.session import SessionSnapshot, prepare_session
 from vmxrr.vmx import (
     CR0_ET,
@@ -61,8 +62,11 @@ def _outcome():
     return _CACHE["outcome"]
 
 
+_RNG_TAG_OFFSET = 4 + 2 + 8 + 8 + 8    # magic, version, table hash, cr0, seed
+
+
 def _header_size(trace: Trace) -> int:
-    return 4 + 2 + 8 + 8 + 8 + 1 + len(trace.rng_algorithm) + 1 + len(trace.profile) + 4
+    return _RNG_TAG_OFFSET + 1 + len(RNG_ALGORITHM) + 1 + len(trace.profile) + 4
 
 
 def _rehash(data: bytes) -> bytes:
@@ -136,7 +140,8 @@ def test_trace_round_trip_is_bit_exact():
     assert trace_to_bytes(trace) == data
     assert trace.profile == "CpuBound"
     assert trace.workload_seed == 5
-    assert trace.rng_algorithm == "splitmix64"
+    tag = data[_RNG_TAG_OFFSET + 1:_RNG_TAG_OFFSET + 1 + data[_RNG_TAG_OFFSET]]
+    assert tag == b"splitmix64"
     assert trace.initial_cr0 == CR0_PE | CR0_PG
 
 
@@ -281,6 +286,33 @@ def test_snapshot_missing_a_field_is_rejected():
     )
     with pytest.raises(TraceFormatError, match="lacks field GUEST_RIP"):
         snapshot_from_bytes(snapshot_to_bytes(partial))
+
+
+def test_foreign_rng_tag_is_rejected():
+    data = _trace_bytes()
+    start = _RNG_TAG_OFFSET + 1
+    foreign = _rehash(data[:start] + b"mersenne19" + data[start + len(RNG_ALGORITHM):])
+    with pytest.raises(TraceFormatError, match="rng 'mersenne19'"):
+        trace_from_bytes(foreign)
+
+
+def _snapshot_with_entries(entries) -> bytes:
+    """The test snapshot with its (encoding, value) entries replaced."""
+    data = snapshot_to_bytes(_outcome().start_snapshot)
+    count_at = 4 + 2 + 8 + 1 + 3 * 8 + _COVERAGE_SIZE + 15 * 8    # the u16 field count
+    body = data[:count_at] + struct.pack("<H", len(entries))
+    body += b"".join(struct.pack("<BQ", enc, value) for enc, value in entries)
+    return body + struct.pack("<Q", fnv1a64(body))
+
+
+def test_snapshot_fields_must_ascend_once_each():
+    items = sorted(_outcome().start_snapshot.vmcs_values.items())
+    assert snapshot_from_bytes(_snapshot_with_entries(items)).vmcs_values == dict(items)
+    with pytest.raises(TraceFormatError, match="GUEST_RIP repeated or out of order"):
+        snapshot_from_bytes(_snapshot_with_entries(items + [(GUEST_RIP, 0xDEAD)]))
+    swapped = items[:3] + [items[4], items[3]] + items[5:]
+    with pytest.raises(TraceFormatError, match="out of order"):
+        snapshot_from_bytes(_snapshot_with_entries(swapped))
 
 
 def test_unpackable_values_leave_no_file(tmp_path):

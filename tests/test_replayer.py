@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from vmxrr.hypervisor import base_exit_cost
-from vmxrr.recorder import ExitFrame, record
+from vmxrr.hypervisor import DispatchResult, ExitOutcome, base_exit_cost
+from vmxrr.recorder import ExitFrame, Trace, record
 from vmxrr.replayer import (
     ASYNC_MASK,
     IDEAL_COVERAGE_MASK,
     AccuracyReport,
+    FrameReplay,
     InvalidSeed,
     OverrideUnderflow,
     Replayer,
@@ -37,6 +38,7 @@ from vmxrr.vmx import (
     GUEST_RSP,
     CpuMode,
     ExitReason,
+    reason_name,
 )
 
 _CACHE = {}
@@ -61,10 +63,11 @@ def test_every_profile_replays_clean():
         replay = Replayer(outcome.start_snapshot).replay_trace(outcome.trace)
         assert replay.clean, (profile, replay.divergences[:2])
         assert replay.frames_completed == len(outcome.trace.frames)
-        replayed_union = 0
-        for _, _, rep in replay.frame_masks:
-            replayed_union |= rep
-        assert replayed_union == replay.recorded_union
+        recorded_union = replayed_union = 0
+        for frame, fr in zip(outcome.trace.frames, replay.frames):
+            recorded_union |= frame.coverage_mask
+            replayed_union |= fr.coverage_mask
+        assert replayed_union == recorded_union
         report = compute_accuracy(replay)
         assert report.block_fitting == 100.0
         assert report.write_exact_pct == 100.0
@@ -215,18 +218,16 @@ def test_doctored_trace_replays_unclean():
 # ---------------------------------------------------------------------------
 
 def _result_with_masks(frame_masks):
-    rec_union = 0
-    for _, rec, _ in frame_masks:
-        rec_union |= rec
-    return ReplayResult(
-        crash=None,
-        divergences=[],
-        recorded_union=rec_union,
-        replay_clock=0,
-        matched_writes=7,
-        recorded_writes=10,
-        frame_masks=frame_masks,
-    )
+    """A replay of one exit per (reason, recorded, replayed) mask triple; the
+    first exit recorded ten writes, and seven of them replayed the same."""
+    recorded = []
+    replayed = []
+    for i, (reason, rec, rep) in enumerate(frame_masks):
+        writes = ((GUEST_RIP, 0),) * 10 if i == 0 else ()
+        recorded.append(ExitFrame(reason, 0, rec, _gpr_seed(), (), writes))
+        result = DispatchResult(ExitOutcome.RESUME, reason, 0)
+        replayed.append(FrameReplay(result, rep, writes, (), 7 if i == 0 else 0))
+    return ReplayResult(Trace("synthetic", 0, 0, recorded), replayed)
 
 
 def test_accuracy_math_on_synthetic_masks():
@@ -254,6 +255,97 @@ def test_accuracy_filters_recorded_async_bits():
     assert report.noise_filtered == 1
     assert report.diffs_by_reason == {}
     assert report.block_fitting == pytest.approx(50.0)
+
+
+def _reference_totals(snapshot, trace):
+    """Replay frame by frame and keep every total as a running sum: the
+    completed exits, the last crash, the divergences, the replay clock and
+    each accuracy figure."""
+    replayer = Replayer(snapshot)
+    completed = clock = matched = recorded = diffs_total = noise = 0
+    crash = None
+    divergences = []
+    by_reason = {}
+    curve = []
+    rec_cum = rep_cum = 0
+    for i, frame in enumerate(trace.frames):
+        fr = replayer.replay_frame(frame, i)
+        completed += 1
+        crash = fr.crash
+        divergences.extend(fr.divergences)
+        if fr.result is not None:
+            clock += fr.result.base_cost
+        matched += fr.matched_writes
+        recorded += len(frame.writes)
+        diff = frame.coverage_mask ^ fr.coverage_mask
+        filtered = (diff & ~ASYNC_MASK).bit_count()
+        noise += (diff & ASYNC_MASK & frame.coverage_mask).bit_count()
+        diffs_total += filtered
+        if filtered:
+            name = reason_name(frame.reason)
+            by_reason[name] = by_reason.get(name, 0) + filtered
+        rec_cum |= frame.coverage_mask
+        rep_cum |= fr.coverage_mask
+        curve.append(100.0 * rep_cum.bit_count() / rec_cum.bit_count() if rec_cum else 100.0)
+        if fr.result is None or crash is not None:
+            break
+    rec_union = 0
+    for frame in trace.frames:
+        rec_union |= frame.coverage_mask
+    rec_blocks, rep_blocks = rec_union.bit_count(), rep_cum.bit_count()
+    accuracy = AccuracyReport(
+        block_fitting=100.0 * rep_blocks / rec_blocks if rec_blocks else 100.0,
+        write_exact_pct=100.0 * matched / recorded if recorded else 100.0,
+        recorded_blocks=rec_blocks,
+        replayed_blocks=rep_blocks,
+        matched_writes=matched,
+        recorded_writes=recorded,
+        diffs_total=diffs_total,
+        diffs_by_reason=by_reason,
+        noise_filtered=noise,
+        fitting_curve=curve,
+    )
+    return completed, crash, divergences, clock, accuracy
+
+
+def test_derived_totals_match_a_frame_by_frame_reference():
+    boot = _recorded("OsBoot", 7, 200)
+    noisy = _recorded("CpuBound", 7, 200, noise=0.05)
+    idle = _recorded("Idle", 7, 200)
+    cpu = _recorded()
+    first = cpu.trace.frames[0]
+    leftover = replace(first, reads=first.reads + ((EXIT_REASON, 1),))
+    rdtsc = cpu.trace.frames.index(_first_rdtsc(cpu.trace))
+    short = replace(cpu.trace.frames[rdtsc], reads=cpu.trace.frames[rdtsc].reads[:-1])
+
+    def doctored(index, frame):
+        frames = list(cpu.trace.frames)
+        frames[index] = frame
+        return replace(cpu.trace, frames=frames)
+
+    cases = {
+        "clean": (boot.start_snapshot, boot.trace),
+        "noisy": (noisy.start_snapshot, noisy.trace),
+        "fresh": (None, idle.trace),
+        "leftover": (cpu.start_snapshot, doctored(0, leftover)),
+        "underflow": (cpu.start_snapshot, doctored(rdtsc, short)),
+    }
+    results = {}
+    for name, (snapshot, trace) in cases.items():
+        results[name] = result = Replayer(snapshot).replay_trace(trace)
+        derived = (
+            result.frames_completed, result.crash, result.divergences,
+            result.replay_clock, compute_accuracy(result),
+        )
+        assert derived == _reference_totals(snapshot, trace), name
+    # Each case reaches the ending it is named after.
+    assert results["clean"].clean
+    assert compute_accuracy(results["noisy"]).noise_filtered > 0
+    assert results["fresh"].crash is not None and results["fresh"].frames_completed == 1
+    assert results["leftover"].divergences[0].kind == "read_leftover"
+    assert results["leftover"].frames_completed == len(cpu.trace.frames)
+    assert results["underflow"].divergences[0].kind == "read_underflow"
+    assert results["underflow"].frames_completed == rdtsc + 1 < len(cpu.trace.frames)
 
 
 def test_noise_filtering_end_to_end():
