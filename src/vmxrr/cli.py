@@ -175,7 +175,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 "noise_filtered": acc.noise_filtered,
                 "diffs_by_reason": acc.diffs_by_reason,
                 "fitting_curve": acc.fitting_curve,
-                "trajectory": [m.name for m in trajectory_of_replay(trace, result)],
+                "trajectory": [m.name for m in trajectory_of_replay(result)],
                 "mode_timeline": [[i, mode.name] for i, mode in timeline],
                 "record_cycles": record_cycles,
                 "replay_cycles": cycles,
@@ -384,8 +384,8 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
 
 def _count(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("count must be >= 0")
+    if not 0 <= value < 1 << 32:    # the .iris frame count is a u32
+        raise argparse.ArgumentTypeError("exit count must be in [0, 2**32)")
     return value
 
 

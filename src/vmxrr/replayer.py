@@ -300,9 +300,9 @@ def trajectory_of_trace(trace: Trace) -> list[CpuMode]:
     return [mode for _, mode in mode_timeline(trace.initial_cr0, writes)]
 
 
-def trajectory_of_replay(trace: Trace, result: ReplayResult) -> list[CpuMode]:
+def trajectory_of_replay(result: ReplayResult) -> list[CpuMode]:
     writes = (fr.writes for fr in result.frames)
-    return [mode for _, mode in mode_timeline(trace.initial_cr0, writes)]
+    return [mode for _, mode in mode_timeline(result.trace.initial_cr0, writes)]
 
 
 # ---------------------------------------------------------------------------

@@ -271,16 +271,23 @@ GPR_NAMES = tuple(g.name for g in GprId)
 
 
 class GprFile:
-    """The 15 general-purpose registers a VM exit saves outside the VMCS."""
+    """The 15 general-purpose registers a VM exit saves outside the VMCS.
 
-    __slots__ = ("regs",)
+    Handlers go through read/write; while `reads` is a set, read adds the
+    register's index to it.
+    """
+
+    __slots__ = ("regs", "reads")
 
     def __init__(self, values=None) -> None:
         self.regs: list[int] = [0] * GPR_COUNT if values is None else list(values)
         if len(self.regs) != GPR_COUNT:
             raise ValueError(f"expected {GPR_COUNT} registers")
+        self.reads: set[int] | None = None    # registers read, or None
 
     def read(self, gpr: int) -> int:
+        if self.reads is not None:
+            self.reads.add(gpr)
         return self.regs[gpr]
 
     def write(self, gpr: int, value: int) -> None:

@@ -121,7 +121,7 @@ def test_c03_boot_mode_trajectory():
     out = _recorded("OsBoot")
     result = Replayer(out.start_snapshot).replay_trace(out.trace)
     recorded = trajectory_of_trace(out.trace)
-    replayed = trajectory_of_replay(out.trace, result)
+    replayed = trajectory_of_replay(result)
     prefix = [CpuMode.MODE1, CpuMode.MODE2, CpuMode.MODE3]
     assert recorded[:3] == prefix
     assert replayed[:3] == prefix

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from vmxrr import cli
 from vmxrr.cli import (
     ENV_OUT_DIR,
     EXIT_FORMAT,
@@ -286,6 +287,22 @@ def test_negative_exit_count_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         entry(["record", "CpuBound", "-5"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["record", "gen-workload"])
+def test_exit_count_past_the_u32_frame_count_is_a_usage_error(command, tmp_path,
+                                                              monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("started a workload")
+
+    monkeypatch.setattr(cli, "record", never)
+    monkeypatch.setattr(cli, "GuestProgram", never)
+    with pytest.raises(SystemExit) as exc:
+        entry([command, "CpuBound", str(2**32), "--out", str(tmp_path / "cpu")])
+    assert exc.value.code == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "exit count must be in [0, 2**32)" in errors[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("noise", ["1.5", "-1", "nan"])

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from vmxrr import fuzzer
+from vmxrr import fuzzer, recorder
 from vmxrr.fuzzer import (
     AREA_GPR,
     AREA_VMCS,
@@ -34,8 +34,8 @@ from vmxrr.recorder import (
 )
 from vmxrr.replayer import Replayer
 from vmxrr.rng import SplitMix64
-from vmxrr.session import Session
-from vmxrr.vmx import EXIT_QUALIFICATION, ExitReason
+from vmxrr.session import Session, prepare_session
+from vmxrr.vmx import EXIT_QUALIFICATION, ExitReason, GprId
 
 _CACHE = {}
 
@@ -225,6 +225,12 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
         ("CpuBound", "RDTSC", AREA_GPR, "clean"),
         ("OsBoot", "CR_ACCESS", AREA_GPR, "divergent"),
         ("OsBoot", "IO_INSTRUCTION", AREA_VMCS, "read_underflow"),
+        # Register campaigns, where flips of unread registers reuse the baseline.
+        ("OsBoot", "CPUID", AREA_GPR, "clean"),
+        ("CpuBound", "VMCALL", AREA_GPR, "crashes"),
+        ("OsBoot", "WRMSR", AREA_GPR, "divergent"),
+        ("IoBound", "IO_INSTRUCTION", AREA_GPR, "clean"),
+        ("CpuBound", "EXTERNAL_INTERRUPT", AREA_GPR, "clean"),
     ],
 )
 def test_reused_outcomes_match_replaying_every_mutant(profile, reason, area, character):
@@ -247,10 +253,7 @@ def test_reused_outcomes_match_replaying_every_mutant(profile, reason, area, cha
         assert result.divergence_kinds.get(character, 0) > 0
 
 
-def test_each_distinct_mutation_is_replayed_once(monkeypatch):
-    outcome = _recorded("OsBoot", 7, 300)
-    idx = find_frame(outcome.trace, {"first_of_reason": "WRMSR"})
-    target = outcome.trace.frames[idx]
+def _count_restores_and_replays(monkeypatch) -> dict:
     calls = {"restore": 0, "replay_frame": 0}
     restore, replay_frame = Session.restore, Replayer.replay_frame
 
@@ -264,6 +267,14 @@ def test_each_distinct_mutation_is_replayed_once(monkeypatch):
 
     monkeypatch.setattr(Session, "restore", counting_restore)
     monkeypatch.setattr(Replayer, "replay_frame", counting_replay_frame)
+    return calls
+
+
+def test_each_distinct_mutation_is_replayed_once(monkeypatch):
+    outcome = _recorded("OsBoot", 7, 300)
+    idx = find_frame(outcome.trace, {"first_of_reason": "WRMSR"})
+    target = outcome.trace.frames[idx]
+    calls = _count_restores_and_replays(monkeypatch)
     counts = {}
     for mutants in (2000, 10000, 30000):
         rng = SplitMix64(0)
@@ -282,6 +293,83 @@ def test_each_distinct_mutation_is_replayed_once(monkeypatch):
         assert calls["replay_frame"] == idx + 1 + distinct + revalidations
         counts[mutants] = dict(calls)
     assert counts[2000] == counts[10000] == counts[30000]
+
+
+def test_gpr_flips_the_handler_never_reads_are_not_replayed(monkeypatch):
+    outcome = _recorded("CpuBound", 7, 300)
+    idx = find_frame(outcome.trace, {"first_of_reason": "RDTSC"})
+    target = outcome.trace.frames[idx]
+    calls = _count_restores_and_replays(monkeypatch)
+    replayed = {}
+    for mutants in (2000, 10000, 30000):
+        rng = SplitMix64(0)
+        drawn = {mutate_random(target, AREA_GPR, rng) for _ in range(mutants)}
+        rcx = len({mu for mu in drawn if mu.entry_index == GprId.RCX})
+        calls.update(restore=0, replay_frame=0)
+        result = run_test_case(outcome.trace, outcome.start_snapshot, idx,
+                               AREA_GPR, mutants=mutants, rng_seed=0)
+        revalidations = len(result.crashes)
+        # RDTSC reads only RCX: its drawn flips are replayed, and the other
+        # 14 registers' flips take the baseline's outcome.
+        assert calls["restore"] == 1 + rcx + revalidations
+        assert calls["replay_frame"] == idx + 1 + rcx + revalidations
+        replayed[mutants] = (len(drawn), rcx)
+    # 2000 draws miss some flips; from 10000 on, all 960 and RCX's 64 are drawn.
+    assert replayed == {2000: (843, 49), 10000: (960, 64), 30000: (960, 64)}
+
+
+@pytest.mark.parametrize("profile", ["CpuBound", "Idle", "IoBound", "MemBound", "OsBoot"])
+def test_flipping_an_unread_register_replays_to_the_baseline(profile):
+    # The premise of the skip, at every exit: a flip of a register the
+    # handler did not read replays exactly like the unflipped seed.
+    outcome = _recorded(profile, 7, 300)
+    trace = outcome.trace
+    replayer = Replayer(outcome.start_snapshot)
+    session, gprs = replayer.session, replayer.session.vm.gprs
+    flips = 0
+    for i, frame in enumerate(trace.frames):
+        before = session.snapshot()
+        gprs.reads = set()
+        baseline = replayer.replay_frame(frame, i)
+        unread = sorted(set(range(len(frame.gprs))) - gprs.reads)
+        gprs.reads = None
+        after = session.snapshot()
+        for reg in unread:
+            for bit in (0, 63):
+                session.restore(before)
+                mutant = apply_mutation(frame, Mutation(AREA_GPR, reg, bit))
+                fr = replayer.replay_frame(mutant, i)
+                assert (fr.coverage_mask, fr.writes, fr.crash, fr.divergences) == (
+                    baseline.coverage_mask, baseline.writes, baseline.crash,
+                    baseline.divergences,
+                ), (i, reg, bit)
+                flips += 1
+        session.restore(after)
+    assert flips > len(trace.frames)
+
+
+def test_register_read_log_is_off_outside_the_baseline(monkeypatch):
+    files = []
+
+    def keeping_prepare_session(*args):
+        session, program = prepare_session(*args)
+        files.append(session.vm.gprs)
+        return session, program
+
+    class KeptReplayer(Replayer):
+        def __init__(self, snapshot=None):
+            super().__init__(snapshot)
+            files.append(self.session.vm.gprs)
+
+    monkeypatch.setattr(recorder, "prepare_session", keeping_prepare_session)
+    monkeypatch.setattr(fuzzer, "Replayer", KeptReplayer)
+    outcome = recorder.record("CpuBound", 7, 100)
+    replay = KeptReplayer(outcome.start_snapshot)
+    assert replay.replay_trace(outcome.trace).clean
+    idx = find_frame(outcome.trace, {"first_of_reason": "RDTSC"})
+    run_test_case(outcome.trace, outcome.start_snapshot, idx, AREA_GPR, mutants=200)
+    assert len(files) == 3
+    assert all(f.reads is None for f in files)
 
 
 def test_every_mutant_is_drawn_through_mutate_random(monkeypatch):

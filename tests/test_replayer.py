@@ -398,7 +398,7 @@ def test_boot_trace_walks_the_first_three_modes():
     expect = [CpuMode.MODE1, CpuMode.MODE2, CpuMode.MODE3]
     assert trajectory_of_trace(outcome.trace) == expect
     replay = Replayer(outcome.start_snapshot).replay_trace(outcome.trace)
-    assert trajectory_of_replay(outcome.trace, replay) == expect
+    assert trajectory_of_replay(replay) == expect
 
 
 def test_non_boot_trace_stays_in_paged_mode():
