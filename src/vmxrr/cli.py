@@ -214,7 +214,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
-    config = json.loads(config_path.read_text())
+    config = _read_json(config_path)
     out_dir = Path(args.out_dir) if args.out_dir else _out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     results = fuzzer.run_config(
@@ -269,16 +269,28 @@ def _matches(value, spec) -> bool:
         return isinstance(value, dict) and all(
             _matches(v, spec[str]) for v in value.values()
         )
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else spec):
         return False
-    return isinstance(value, (int, float) if spec is float else spec)
+    if isinstance(value, int):
+        try:
+            float(value)    # the reports do float arithmetic on every number
+        except OverflowError:
+            return False
+    return True
+
+
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_json(path: str, kind: str, many: bool = False):
     """A --replay report is one JSON object; a --campaigns file (many) is a
     list of them. Any other shape, or a key the `kind` report reads that is
     missing or mistyped, is a format error that names the file."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     items = data if many else [data]
     if not (isinstance(items, list) and all(isinstance(x, dict) for x in items)):
         shape = "a list of JSON objects" if many else "a JSON object"

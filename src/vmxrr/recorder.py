@@ -12,11 +12,18 @@ seed_payload_bytes build them, trace_from_bytes checks and drops them.
 The session's exit loop builds the frames (session.ExitFrame); record() runs
 a session with capture on and wraps the frames in a Trace.
 
-Trace container (.iris), all integers little-endian:
+Both containers share one envelope; all integers are little-endian:
 
-    magic "IRIS" | version u16 | field_table_hash u64 | initial_cr0 u64 |
-    workload_seed u64 | algo: len u8 + utf8 | profile: len u8 + utf8 |
-    frame_count u32 | frames... | fnv1a64 trailer over everything before it
+    magic (4 bytes) | version u16 | field_table_hash u64 | body... | trailer u64
+
+seal() appends the trailer, the fnv1a64 of everything before it. A loader
+checks length, magic, version, trailer and field-table hash, in that order,
+before it parses the body at integer offsets.
+
+Trace (.iris), magic "IRIS", after the envelope header:
+
+    initial_cr0 u64 | workload_seed u64 | algo: len u8 + utf8 |
+    profile: len u8 + utf8 | frame_count u32 | frames...
 
     frame: reason u16 | gpr_count u8 | read_count u8 | write_count u8 |
            cycle_cost u64 | coverage bitmap (19 bytes raw) | entries...
@@ -27,17 +34,22 @@ bits of the EXIT_REASON read at record time). Replay dispatches on the seed's
 EXIT_REASON read, and a crash artifact's mutated read may differ from its
 header, so the loader does not compare the two.
 
-The algo string must be the RNG_ALGORITHM tag; the loader rejects any other.
+The algo string must be the RNG_ALGORITHM tag; the loader rejects any other,
+and names the algo or profile string when it is not UTF-8.
 
-Snapshot container (.irisnap) carries resumable session state under the same
-integrity scheme with magic "IRSN": every VMCS field once, in strictly
-ascending encoding order (the loader rejects repeats and disorder).
+Snapshot (.irisnap), magic "IRSN", resumable session state after the header:
+
+    launch_state u8 | tsc u64 | virtual_clock u64 | total_exits u64 |
+    coverage (19 bytes) | 15 gprs u64 | field_count u16 | fields...
+    field: encoding u8 | value u64, every VMCS field once, in strictly
+           ascending encoding order (the loader rejects repeats and disorder)
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .hypervisor import COVERAGE_BYTES
 from .rng import RNG_ALGORITHM
@@ -66,8 +78,15 @@ FLAG_VMCS_READ = 0x02
 FLAG_VMCS_WRITE = 0x03
 _VALID_FLAGS = (FLAG_GPR, FLAG_VMCS_READ, FLAG_VMCS_WRITE)
 
+# Every container starts with the envelope and ends with a u64 trailer.
+_ENVELOPE = struct.Struct("<4sHQ")    # magic, version, field-table hash
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
+_TRACE_HEAD = struct.Struct("<QQ")    # initial_cr0, workload_seed
+_FRAME_HEAD = struct.Struct(f"<HBBBQ{COVERAGE_BYTES}s")
 _ENTRY = struct.Struct("<BBQ")
-_FRAME_FIXED = struct.Struct("<HBBBQ")
+_SNAPSHOT_HEAD = struct.Struct(f"<BQQQ{COVERAGE_BYTES}s{GPR_COUNT}QH")
+_SNAPSHOT_FIELD = struct.Struct("<BQ")
 SEED_ENTRY_SIZE = _ENTRY.size        # 10 bytes
 
 # A snapshot is taken of a powered-on VMCS, so it is never INACTIVE.
@@ -138,76 +157,87 @@ def seed_payload_bytes(frame: ExitFrame) -> bytes:
     return bytes(out)
 
 
+def seal(body: bytes) -> bytes:
+    """The container: its body followed by the trailer, fnv1a64 of the body."""
+    return b"".join((body, _U64.pack(fnv1a64(body))))    # one copy of the body
+
+
+def _envelope(magic: bytes) -> bytearray:
+    return bytearray(_ENVELOPE.pack(magic, FORMAT_VERSION, FIELD_TABLE_HASH))
+
+
 def trace_to_bytes(trace: Trace) -> bytes:
-    out = bytearray()
-    out += TRACE_MAGIC
-    out += struct.pack("<H", FORMAT_VERSION)
-    out += struct.pack("<Q", FIELD_TABLE_HASH)
-    out += struct.pack("<Q", trace.initial_cr0)
-    out += struct.pack("<Q", trace.workload_seed)
+    out = _envelope(TRACE_MAGIC)
+    out += _TRACE_HEAD.pack(trace.initial_cr0, trace.workload_seed)
     out += _pack_str(RNG_ALGORITHM)
     out += _pack_str(trace.profile)
-    out += struct.pack("<I", len(trace.frames))
+    out += _U32.pack(len(trace.frames))
     pack = _ENTRY.pack
     for frame in trace.frames:
-        out += _FRAME_FIXED.pack(
-            frame.reason,
-            len(frame.gprs),
-            len(frame.reads),
-            len(frame.writes),
-            frame.cycle_cost,
+        out += _FRAME_HEAD.pack(
+            frame.reason, len(frame.gprs), len(frame.reads), len(frame.writes),
+            frame.cycle_cost, frame.coverage_mask.to_bytes(COVERAGE_BYTES, "little"),
         )
-        out += frame.coverage_mask.to_bytes(COVERAGE_BYTES, "little")
         _pack_seed(out, frame)
         for encoding, value in frame.writes:
             out += pack(FLAG_VMCS_WRITE, encoding, value)
-    out += struct.pack("<Q", fnv1a64(bytes(out)))
-    return bytes(out)
+    return seal(out)
 
 
-class _Cursor:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TraceTruncated(
-                f"need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        return self.take(self.u8()).decode("utf-8")
+def snapshot_to_bytes(snap: SessionSnapshot) -> bytes:
+    if len(snap.gprs) != GPR_COUNT:
+        raise ValueError(f"snapshot carries {len(snap.gprs)} registers")
+    items = sorted(snap.vmcs_values.items())
+    out = _envelope(SNAPSHOT_MAGIC)
+    out += _SNAPSHOT_HEAD.pack(
+        snap.launch_state, snap.tsc, snap.virtual_clock, snap.total_exits,
+        snap.coverage_union.to_bytes(COVERAGE_BYTES, "little"), *snap.gprs, len(items),
+    )
+    for enc, value in items:
+        out += _SNAPSHOT_FIELD.pack(enc, value)
+    return seal(out)
 
 
-def _check_envelope(data: bytes, magic: bytes, what: str) -> bytes:
-    """Validate magic, version, and trailer; return the body after them."""
-    if len(data) < len(magic) + 2 + 8:
+def _open(data: bytes, magic: bytes, what: str) -> bytes:
+    """Check the envelope and the trailer; return the body before the trailer."""
+    if len(data) < _ENVELOPE.size + _U64.size:
         raise TraceTruncated(f"{what} shorter than its envelope")
-    if data[: len(magic)] != magic:
-        raise BadMagic(f"not a {what}: magic {data[:4]!r}")
-    version = struct.unpack_from("<H", data, len(magic))[0]
+    found, version, table_hash = _ENVELOPE.unpack_from(data)
+    if found != magic:
+        raise BadMagic(f"not a {what}: magic {found!r}")
     if version != FORMAT_VERSION:
         raise BadVersion(f"{what} version {version}, expected {FORMAT_VERSION}")
-    body, trailer = data[:-8], data[-8:]
-    if struct.unpack("<Q", trailer)[0] != fnv1a64(body):
+    body = data[:-_U64.size]
+    if _U64.unpack_from(data, len(body))[0] != fnv1a64(body):
         raise TraceCorrupt(f"{what} integrity hash mismatch")
+    if table_hash != FIELD_TABLE_HASH:
+        raise FieldTableMismatch(
+            f"{what} field table {table_hash:#x} differs from {FIELD_TABLE_HASH:#x}"
+        )
     return body
+
+
+def _need(body: bytes, pos: int, n: int) -> int:
+    """The offset past n bytes at pos; TraceTruncated if the body ends first."""
+    if pos + n > len(body):
+        raise TraceTruncated(f"need {n} bytes at offset {pos}, have {len(body) - pos}")
+    return pos + n
+
+
+def _unpack(st: struct.Struct, body: bytes, pos: int) -> tuple[tuple, int]:
+    """The fields of st at pos, and the offset past them."""
+    end = _need(body, pos, st.size)
+    return st.unpack_from(body, pos), end
+
+
+def _string(body: bytes, pos: int, what: str) -> tuple[str, int]:
+    """The length-prefixed string at pos, and the offset past it."""
+    start = _need(body, pos, 1)
+    end = _need(body, start, body[pos])
+    try:
+        return body[start:end].decode("utf-8"), end
+    except UnicodeDecodeError:
+        raise TraceFormatError(f"trace {what} is not UTF-8") from None
 
 
 def _flag_error(flag: int) -> TraceFormatError:
@@ -239,91 +269,45 @@ def _parse_fields(block: bytes, section_flag: int) -> tuple[tuple[int, int], ...
 
 
 def trace_from_bytes(data: bytes) -> Trace:
-    body = _check_envelope(data, TRACE_MAGIC, "trace")
-    cur = _Cursor(body)
-    cur.take(len(TRACE_MAGIC))
-    cur.u16()
-    table_hash = cur.u64()
-    if table_hash != FIELD_TABLE_HASH:
-        raise FieldTableMismatch(
-            f"trace field table {table_hash:#x} differs from {FIELD_TABLE_HASH:#x}"
-        )
-    initial_cr0 = cur.u64()
-    workload_seed = cur.u64()
-    algorithm = cur.string()
+    body = _open(data, TRACE_MAGIC, "trace")
+    (initial_cr0, workload_seed), pos = _unpack(_TRACE_HEAD, body, _ENVELOPE.size)
+    algorithm, pos = _string(body, pos, "rng tag")
     if algorithm != RNG_ALGORITHM:
         raise TraceFormatError(f"trace rng {algorithm!r}, expected {RNG_ALGORITHM!r}")
-    profile = cur.string()
-    frame_count = cur.u32()
+    profile, pos = _string(body, pos, "profile")
+    (frame_count,), pos = _unpack(_U32, body, pos)
     frames: list[ExitFrame] = []
     for _ in range(frame_count):
-        reason, n_gpr, n_read, n_write, cycle_cost = _FRAME_FIXED.unpack(
-            cur.take(_FRAME_FIXED.size)
+        (reason, n_gpr, n_read, n_write, cycle_cost, coverage), start = _unpack(
+            _FRAME_HEAD, body, pos
         )
         if n_gpr != GPR_COUNT:
             raise TraceFormatError(f"frame carries {n_gpr} gpr entries, expected {GPR_COUNT}")
-        coverage = int.from_bytes(cur.take(COVERAGE_BYTES), "little")
-        gprs = _parse_gprs(cur.take(n_gpr * SEED_ENTRY_SIZE))
-        reads = _parse_fields(cur.take(n_read * SEED_ENTRY_SIZE), FLAG_VMCS_READ)
-        writes = _parse_fields(cur.take(n_write * SEED_ENTRY_SIZE), FLAG_VMCS_WRITE)
-        frames.append(ExitFrame(reason, cycle_cost, coverage, gprs, reads, writes))
-    if cur.pos != len(body):
-        raise TraceCorrupt(f"{len(body) - cur.pos} trailing bytes after last frame")
+        reads_at = start + GPR_COUNT * SEED_ENTRY_SIZE
+        writes_at = reads_at + n_read * SEED_ENTRY_SIZE
+        pos = _need(body, start, (GPR_COUNT + n_read + n_write) * SEED_ENTRY_SIZE)
+        frames.append(ExitFrame(
+            reason, cycle_cost, int.from_bytes(coverage, "little"),
+            _parse_gprs(body[start:reads_at]),
+            _parse_fields(body[reads_at:writes_at], FLAG_VMCS_READ),
+            _parse_fields(body[writes_at:pos], FLAG_VMCS_WRITE),
+        ))
+    if pos != len(body):
+        raise TraceCorrupt(f"{len(body) - pos} trailing bytes after last frame")
     return Trace(profile, workload_seed, initial_cr0, frames)
 
 
-def save_trace(trace: Trace, path) -> None:
-    data = trace_to_bytes(trace)    # packed before open: a failure leaves no file
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
-def load_trace(path) -> Trace:
-    with open(path, "rb") as fh:
-        return trace_from_bytes(fh.read())
-
-
-def snapshot_to_bytes(snap: SessionSnapshot) -> bytes:
-    out = bytearray()
-    out += SNAPSHOT_MAGIC
-    out += struct.pack("<H", FORMAT_VERSION)
-    out += struct.pack("<Q", FIELD_TABLE_HASH)
-    out += struct.pack("<B", snap.launch_state)
-    out += struct.pack("<QQQ", snap.tsc, snap.virtual_clock, snap.total_exits)
-    out += snap.coverage_union.to_bytes(COVERAGE_BYTES, "little")
-    if len(snap.gprs) != GPR_COUNT:
-        raise ValueError(f"snapshot carries {len(snap.gprs)} registers")
-    out += struct.pack(f"<{GPR_COUNT}Q", *snap.gprs)
-    items = sorted(snap.vmcs_values.items())
-    out += struct.pack("<H", len(items))
-    for enc, value in items:
-        out += struct.pack("<BQ", enc, value)
-    out += struct.pack("<Q", fnv1a64(bytes(out)))
-    return bytes(out)
-
-
 def snapshot_from_bytes(data: bytes) -> SessionSnapshot:
-    body = _check_envelope(data, SNAPSHOT_MAGIC, "snapshot")
-    cur = _Cursor(body)
-    cur.take(len(SNAPSHOT_MAGIC))
-    cur.u16()
-    table_hash = cur.u64()
-    if table_hash != FIELD_TABLE_HASH:
-        raise FieldTableMismatch(
-            f"snapshot field table {table_hash:#x} differs from {FIELD_TABLE_HASH:#x}"
-        )
-    launch = cur.u8()
+    body = _open(data, SNAPSHOT_MAGIC, "snapshot")
+    (launch, tsc, virtual_clock, total_exits, coverage, *gprs, count), pos = _unpack(
+        _SNAPSHOT_HEAD, body, _ENVELOPE.size
+    )
     if launch not in _SNAPSHOT_LAUNCH_STATES:
         raise TraceFormatError(f"bad launch state {launch}")
-    tsc = cur.u64()
-    virtual_clock = cur.u64()
-    total_exits = cur.u64()
-    coverage = int.from_bytes(cur.take(COVERAGE_BYTES), "little")
-    gprs = list(struct.unpack(f"<{GPR_COUNT}Q", cur.take(8 * GPR_COUNT)))
+    end = _need(body, pos, count * _SNAPSHOT_FIELD.size)
     values: dict[int, int] = {}
     previous = -1
-    for _ in range(cur.u16()):
-        enc = cur.u8()
+    for enc, value in _SNAPSHOT_FIELD.iter_unpack(body[pos:end]):
         if enc not in FIELD_TABLE:
             raise TraceFormatError(f"snapshot field encoding {enc} unknown")
         if enc <= previous:
@@ -331,32 +315,32 @@ def snapshot_from_bytes(data: bytes) -> SessionSnapshot:
                 f"snapshot field {FIELD_TABLE[enc].name} repeated or out of order"
             )
         previous = enc
-        values[enc] = cur.u64()
+        values[enc] = value
     missing = FIELD_TABLE.keys() - values.keys()
     if missing:
         raise TraceFormatError(f"snapshot lacks field {FIELD_TABLE[min(missing)].name}")
-    if cur.pos != len(body):
-        raise TraceCorrupt(f"{len(body) - cur.pos} trailing bytes in snapshot")
+    if end != len(body):
+        raise TraceCorrupt(f"{len(body) - end} trailing bytes in snapshot")
     return SessionSnapshot(
-        vmcs_values=values,
-        launch_state=LaunchState(launch),
-        gprs=gprs,
-        tsc=tsc,
-        coverage_union=coverage,
-        virtual_clock=virtual_clock,
-        total_exits=total_exits,
+        values, LaunchState(launch), gprs, tsc, int.from_bytes(coverage, "little"),
+        virtual_clock, total_exits,
     )
 
 
+def save_trace(trace: Trace, path) -> None:
+    Path(path).write_bytes(trace_to_bytes(trace))    # packed first: a failure leaves no file
+
+
+def load_trace(path) -> Trace:
+    return trace_from_bytes(Path(path).read_bytes())
+
+
 def save_snapshot(snap: SessionSnapshot, path) -> None:
-    data = snapshot_to_bytes(snap)    # packed before open: a failure leaves no file
-    with open(path, "wb") as fh:
-        fh.write(data)
+    Path(path).write_bytes(snapshot_to_bytes(snap))    # packed first: a failure leaves no file
 
 
 def load_snapshot(path) -> SessionSnapshot:
-    with open(path, "rb") as fh:
-        return snapshot_from_bytes(fh.read())
+    return snapshot_from_bytes(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------

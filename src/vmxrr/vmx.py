@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-MASK64 = (1 << 64) - 1
+from .rng import MASK64
 
 # ---------------------------------------------------------------------------
 # CR0 bits (SDM Vol. 3, 2.5)

@@ -33,6 +33,7 @@ from vmxrr.recorder import (
     FieldTableMismatch,
     Trace,
     record,
+    seal,
     seed_payload_bytes,
     trace_from_bytes,
     trace_to_bytes,
@@ -55,7 +56,6 @@ from vmxrr.vmx import (
     GUEST_RIP,
     CpuMode,
     ExitReason,
-    fnv1a64,
 )
 
 import pytest
@@ -304,8 +304,7 @@ def _random_trace(rng):
 
 
 def _rehashed(data: bytes) -> bytes:
-    body = data[:-8]
-    return body + struct.pack("<Q", fnv1a64(body))
+    return seal(data[:-8])
 
 
 def test_c10_trace_format_round_trip():

@@ -19,9 +19,13 @@ from vmxrr.cli import (
     entry,
 )
 from vmxrr.fuzzer import Mutation, apply_mutation, run_test_case
-from vmxrr.recorder import load_trace, record, save_trace
+from vmxrr.recorder import load_trace, record, save_trace, seal
 from vmxrr.rng import SplitMix64
-from vmxrr.vmx import GUEST_RIP, fnv1a64
+from vmxrr.vmx import GUEST_RIP
+
+
+# JSON nested far past the decoder's recursion limit.
+_TOO_DEEP = "[" * 200000
 
 
 @pytest.fixture(scope="module")
@@ -174,19 +178,16 @@ def test_replay_corrupt_file_is_a_format_error(workdir, tmp_path, capsys):
 def test_replay_rejects_a_foreign_rng_tag_and_a_repeated_snapshot_field(
     workdir, tmp_path, capsys
 ):
-    def rehashed(body):
-        return body + struct.pack("<Q", fnv1a64(body))
-
     trace = (workdir / "cpu.iris").read_bytes()
     tag = trace.index(b"splitmix64")
     (tmp_path / "mt.iris").write_bytes(
-        rehashed(trace[:tag] + b"mersenne19" + trace[tag + 10:-8])
+        seal(trace[:tag] + b"mersenne19" + trace[tag + 10:-8])
     )
     snap = (workdir / "cpu.irisnap").read_bytes()[:-8]
     count_at = 4 + 2 + 8 + 1 + 3 * 8 + 19 + 15 * 8    # the u16 field count
     count = struct.unpack_from("<H", snap, count_at)[0]
     assert len(snap) == count_at + 2 + 9 * count
-    (tmp_path / "dup.irisnap").write_bytes(rehashed(
+    (tmp_path / "dup.irisnap").write_bytes(seal(
         snap[:count_at] + struct.pack("<H", count + 1) + snap[count_at + 2:]
         + struct.pack("<BQ", GUEST_RIP, 0xDEAD)
     ))
@@ -425,20 +426,31 @@ def test_report_input_of_the_wrong_shape_is_a_format_error(
                       "replay_cycles": 2}, "record_cycles"),
         ("deltas", [{"profile": "a", "area": "gpr", "reason": 16,
                      "coverage_delta_pct": 0.0}], "reason"),
+        ("fitting", {"fitting_curve": [10**400]}, "fitting_curve"),
+        ("deltas", [{"profile": "a", "area": "gpr", "reason": "RDTSC",
+                     "coverage_delta_pct": 10**400}], "coverage_delta_pct"),
+        ("speedups", {"profile": "a", "completed": 1, "record_cycles": 10**400,
+                      "replay_cycles": 2}, "record_cycles"),
+        ("fitting", _TOO_DEEP, None),
+        ("deltas", _TOO_DEEP, None),
     ],
     ids=["fitting-int", "fitting-nested-list", "trajectory-int", "trajectory-frames-str",
-         "diffs-list", "diffs-missing", "speedups-str-cycles", "deltas-int-reason"],
+         "diffs-list", "diffs-missing", "speedups-str-cycles", "deltas-int-reason",
+         "fitting-past-float", "deltas-past-float", "speedups-past-float",
+         "replay-too-deep", "campaigns-too-deep"],
 )
 def test_report_input_with_a_mistyped_key_is_a_format_error(
     kind, content, key, tmp_path, capsys
 ):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if content is _TOO_DEEP else json.dumps(content))
     flag = "--campaigns" if kind == "deltas" else "--replay"
-    assert entry(["report", kind, flag, str(path)]) == EXIT_FORMAT
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: {path}: key {key!r} ")
+    detail = "JSON nested too deeply to read" if key is None else f"key {key!r} "
+    for fmt in ("text", "csv", "svg") if kind == "fitting" else ("text", "csv"):
+        assert entry(["report", kind, flag, str(path), "--format", fmt]) == EXIT_FORMAT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +528,12 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
         ("name", None, "name"),
         ("rng_seed", 2**64, "rng_seed"),
         ("rng_seed", -1, "rng_seed"),
+        ("config", _TOO_DEEP, None),
     ],
     ids=["select-int", "reason-null", "reason-list", "mutants-list",
          "rng-seed-null", "trace-int", "artifacts-int", "reason-unknown-code",
          "reason-negative", "reason-bool", "name-list", "name-null",
-         "rng-seed-2-64", "rng-seed-negative"],
+         "rng-seed-2-64", "rng-seed-negative", "config-too-deep"],
 )
 def test_fuzz_mistyped_config_value_is_a_format_error(
     key, value, named, workdir, tmp_path, capsys
@@ -535,11 +548,15 @@ def test_fuzz_mistyped_config_value_is_a_format_error(
         key: value,
     }
     path = workdir / f"typed-{key}.json"
-    path.write_text(json.dumps({"campaigns": [job]}))
+    deep = value is _TOO_DEEP    # the whole file: json.dumps cannot nest that deep
+    path.write_text(value if deep else json.dumps({"campaigns": [job]}))
     status = entry(["fuzz", str(path), "--out-dir", str(tmp_path)])
     assert status == EXIT_FORMAT
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
+    if deep:
+        assert lines[0] == f"error: {path}: JSON nested too deeply to read"
+        return
     # A name that is no string cannot label its campaign; the index does.
     prefix = "campaign 0" if key == "name" else "campaign 'typed'"
     assert lines[0].startswith(f"error: {prefix}: ")
@@ -592,7 +609,7 @@ def test_bit_flipped_inputs_end_in_a_documented_status(tmp_path, monkeypatch):
         bit = rng.below(8 * (len(data) - 8 if binary else len(data)))
         data[bit // 8] ^= 1 << (bit % 8)
         if binary:
-            data[-8:] = struct.pack("<Q", fnv1a64(bytes(data[:-8])))
+            data = seal(data[:-8])
         for name, original in originals.items():
             (tmp_path / name).write_bytes(bytes(data) if name == target else original)
         for argv in (

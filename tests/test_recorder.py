@@ -22,6 +22,7 @@ from vmxrr.recorder import (
     record,
     save_snapshot,
     save_trace,
+    seal,
     seed_payload_bytes,
     seed_payload_size,
     snapshot_from_bytes,
@@ -39,7 +40,6 @@ from vmxrr.vmx import (
     GUEST_GDTR_LIMIT,
     GUEST_RIP,
     ExitReason,
-    fnv1a64,
 )
 
 _FRAME_FIXED_SIZE = 13   # reason u16 + three u8 counts + cycle_cost u64
@@ -70,8 +70,7 @@ def _header_size(trace: Trace) -> int:
 
 
 def _rehash(data: bytes) -> bytes:
-    body = data[:-8]
-    return body + struct.pack("<Q", fnv1a64(body))
+    return seal(data[:-8])
 
 
 def _mutate(data: bytes, offset: int, value: int) -> bytes:
@@ -296,13 +295,40 @@ def test_foreign_rng_tag_is_rejected():
         trace_from_bytes(foreign)
 
 
+def test_non_utf8_container_strings_name_their_field():
+    data = _trace_bytes()
+    rng_at = _RNG_TAG_OFFSET + 1
+    profile_at = rng_at + len(RNG_ALGORITHM) + 1
+    for offset, name in ((rng_at, "rng tag"), (profile_at, "profile")):
+        with pytest.raises(TraceFormatError, match=f"trace {name} is not UTF-8"):
+            trace_from_bytes(_mutate(data, offset, 0xFF))
+
+
+def test_resealed_byte_flips_load_or_raise_a_format_error():
+    """Self-fuzz of the loaders: every byte before the trailer of a 3-exit
+    trace and its snapshot, XORed with 0x01 and then with 0x80, re-sealed."""
+    outcome = record("CpuBound", 5, 3)
+    for load, data in (
+        (trace_from_bytes, trace_to_bytes(outcome.trace)),
+        (snapshot_from_bytes, snapshot_to_bytes(outcome.start_snapshot)),
+    ):
+        for offset in range(len(data) - 8):
+            for mask in (0x01, 0x80):
+                buf = bytearray(data[:-8])
+                buf[offset] ^= mask
+                try:
+                    load(seal(buf))
+                except TraceFormatError:
+                    pass
+
+
 def _snapshot_with_entries(entries) -> bytes:
     """The test snapshot with its (encoding, value) entries replaced."""
     data = snapshot_to_bytes(_outcome().start_snapshot)
     count_at = 4 + 2 + 8 + 1 + 3 * 8 + _COVERAGE_SIZE + 15 * 8    # the u16 field count
     body = data[:count_at] + struct.pack("<H", len(entries))
     body += b"".join(struct.pack("<BQ", enc, value) for enc, value in entries)
-    return body + struct.pack("<Q", fnv1a64(body))
+    return seal(body)
 
 
 def test_snapshot_fields_must_ascend_once_each():
