@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from enum import Enum
@@ -34,9 +35,9 @@ from .recorder import (
 from .replayer import (
     Replayer,
     compute_accuracy,
-    mode_timeline,
     speedup,
     throughput,
+    trace_timeline,
     trajectory_of_replay,
 )
 from .vmx import FIELD_TABLE, GprId
@@ -164,7 +165,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         cycles = result.replay_clock
         # Both sides cover the same exits, even when the replay stopped early.
         record_cycles = sum(f.cycle_cost for f in trace.frames[:result.frames_completed])
-        timeline = mode_timeline(trace.initial_cr0, (f.writes for f in trace.frames))
+        timeline = trace_timeline(trace)
         summary.update(
             {
                 "block_fitting": acc.block_fitting,
@@ -271,17 +272,21 @@ def _matches(value, spec) -> bool:
         )
     if isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else spec):
         return False
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         try:
-            float(value)    # the reports do float arithmetic on every number
+            return math.isfinite(value)    # the reports do float arithmetic on every number
         except OverflowError:
             return False
     return True
 
 
 def _read_json(path):
+    """The JSON in `path`. NaN and Infinity are not JSON, and read as errors."""
+    def non_finite(name):
+        raise ValueError(f"{path}: {name} is not a JSON number")
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_constant=non_finite)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
@@ -300,7 +305,7 @@ def _load_json(path: str, kind: str, many: bool = False):
             if key not in item:
                 raise ValueError(f"{path}: key {key!r} is missing")
             if not _matches(item[key], spec):
-                raise ValueError(f"{path}: key {key!r} has the wrong type")
+                raise ValueError(f"{path}: key {key!r} has the wrong type or is not finite")
     return data
 
 
@@ -308,49 +313,44 @@ def cmd_report(args: argparse.Namespace) -> int:
     kind = args.kind
     fmt = args.format
     if fmt == "svg" and kind != "fitting":
-        _usage(args, "svg output is only available for the fitting curve")
+        args.parser.error("svg output is only available for the fitting curve")
     if kind == "histogram":
         if not args.trace:
-            _usage(args, "histogram needs --trace")
+            args.parser.error("histogram needs --trace")
         trace = load_trace(args.trace)
         text = reports.render_histogram(reports.reason_histogram(trace), fmt)
     elif kind == "trajectory":
         if args.trace:
             trace = load_trace(args.trace)
-            writes = (f.writes for f in trace.frames)
-            timeline = [(i, m.name) for i, m in mode_timeline(trace.initial_cr0, writes)]
+            timeline = [(i, m.name) for i, m in trace_timeline(trace)]
             total = len(trace.frames)
         elif args.replay:
             summary = _load_json(args.replay[0], kind)
             timeline = [(i, name) for i, name in summary["mode_timeline"]]
             total = summary["frames"]
         else:
-            _usage(args, "trajectory needs --trace or --replay")
+            args.parser.error("trajectory needs --trace or --replay")
         text = reports.render_trajectory(timeline, total, fmt)
     elif kind == "fitting":
         if not args.replay:
-            _usage(args, "fitting needs --replay")
+            args.parser.error("fitting needs --replay")
         summary = _load_json(args.replay[0], kind)
         text = reports.render_fitting(summary["fitting_curve"], fmt)
     elif kind == "diffs":
         if not args.replay:
-            _usage(args, "diffs needs --replay")
+            args.parser.error("diffs needs --replay")
         summary = _load_json(args.replay[0], kind)
         text = reports.render_diffs(summary["diffs_by_reason"], fmt)
     elif kind == "deltas":
         if not args.campaigns:
-            _usage(args, "deltas needs --campaigns")
+            args.parser.error("deltas needs --campaigns")
         text = reports.render_deltas(_load_json(args.campaigns, kind, many=True), fmt)
     else:  # speedups
         if not args.replay:
-            _usage(args, "speedups needs at least one --replay")
+            args.parser.error("speedups needs at least one --replay")
         text = reports.render_speedups([_load_json(p, kind) for p in args.replay], fmt)
     _write_text(args.out, text, args)
     return EXIT_OK
-
-
-def _usage(args: argparse.Namespace, message: str) -> None:
-    args.parser.error(message)
 
 
 # ---------------------------------------------------------------------------

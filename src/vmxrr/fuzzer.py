@@ -42,7 +42,7 @@ from .recorder import (
 from .replayer import Replayer
 from .rng import MASK64, SplitMix64
 from .session import SessionSnapshot
-from .vmx import ExitReason, guest_cr0_view
+from .vmx import ExitReason, guest_cr0_view, reason_name
 
 AREA_VMCS = "vmcs"
 AREA_GPR = "gpr"
@@ -56,10 +56,6 @@ class FuzzError(Exception):
 
 
 class EmptyArea(FuzzError):
-    pass
-
-
-class EmptyBaseline(FuzzError):
     pass
 
 
@@ -141,16 +137,12 @@ class CampaignResult:
     crashes: list[CrashRecord] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        try:
-            reason_name = ExitReason(self.reason).name
-        except ValueError:
-            reason_name = str(self.reason)
         return {
             "name": self.name,
             "profile": self.profile,
             "workload_seed": self.workload_seed,
             "frame_index": self.frame_index,
-            "reason": reason_name,
+            "reason": reason_name(self.reason),
             "area": self.area,
             "mutants": self.mutants,
             "rng_seed": self.rng_seed,
@@ -207,7 +199,7 @@ def run_test_case(
 
     replayer = Replayer(snapshot)
     for i in range(frame_index):
-        fr = replayer.replay_frame(trace.frames[i], i)
+        fr = replayer.replay_frame(trace.frames[i])
         if fr.divergences or fr.crash is not None:    # an abort is a divergence
             raise CampaignSetupError(
                 f"prefix replay diverged at exit {i}; trace does not match snapshot"
@@ -218,14 +210,12 @@ def run_test_case(
 
     gprs = session.vm.gprs
     gprs.reads = set()
-    baseline = replayer.replay_frame(target, frame_index)
+    baseline = replayer.replay_frame(target)
     unread = set(range(len(target.gprs))) - gprs.reads if area == AREA_GPR else set()
     gprs.reads = None
     if baseline.divergences:
         raise CampaignSetupError(f"baseline replay of exit {frame_index} diverged")
-    baseline_mask = baseline.coverage_mask
-    if baseline_mask == 0:
-        raise EmptyBaseline(f"exit {frame_index} covered no blocks")
+    baseline_mask = baseline.coverage_mask    # never 0: dispatch.entry is always hit
 
     # mutation -> [first mutant index, draws], in first-draw order
     rng = SplitMix64(rng_seed)
@@ -249,7 +239,7 @@ def run_test_case(
             fr = baseline    # the handler never reads the flipped register
         else:
             session.restore(base_state)
-            fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
+            fr = replayer.replay_frame(apply_mutation(target, mutation))
         campaign_mask |= fr.coverage_mask
         crash = fr.crash
         if crash is not None:
@@ -274,7 +264,7 @@ def run_test_case(
     for rec in crashes:
         session.restore(base_state)
         mutant_frame = apply_mutation(target, rec.mutation)
-        fr = replayer.replay_frame(mutant_frame, frame_index)
+        fr = replayer.replay_frame(mutant_frame)
         rec.revalidated = fr.crash == CrashInfo(rec.kind, rec.detail)
         if out_dir is not None:
             rec.artifact = _write_artifact(
@@ -357,7 +347,7 @@ def replay_artifact(meta_path: str | Path) -> ArtifactReplay:
     fragment = load_trace(meta_path.parent / meta["trace"])
     snap = load_snapshot(meta_path.parent / meta["snapshot"])
     replayer = Replayer(snap)
-    crash = replayer.replay_frame(fragment.frames[0], meta["frame_index"]).crash
+    crash = replayer.replay_frame(fragment.frames[0]).crash
     kind, detail = (crash.kind, crash.detail) if crash is not None else (None, "")
     return ArtifactReplay(
         kind, detail, kind == meta["kind"] and detail == meta["detail"]
@@ -444,6 +434,9 @@ def run_config(
             raise CampaignSetupError(f"campaign {name!r}: unknown area {area!r}")
         try:
             mutants = _config_int(job, "mutants", DEFAULT_MUTANTS)
+            if not 1 <= mutants < 1 << 32:
+                value = job["mutants"]
+                raise CampaignSetupError(f"'mutants' must be in [1, 2**32), not {value!r}")
             rng_seed = _config_int(job, "rng_seed", default_rng_seed)
             if not 0 <= rng_seed <= MASK64:
                 raise CampaignSetupError(f"'rng_seed' must be in [0, 2**64), not {rng_seed}")

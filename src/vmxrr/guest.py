@@ -253,7 +253,6 @@ class GuestProgram:
 
     def __init__(self, profile: WorkloadProfile, seed: int, n_exits: int) -> None:
         self.profile = profile
-        self.seed = seed
         rng = SplitMix64(seed)
         ops: list[GuestOp] = []
         if profile.boot:

@@ -404,9 +404,9 @@ class Hypervisor:
         if fatal is not None:
             crash = CrashInfo("VmCrash", fatal)
             return DispatchResult(ExitOutcome.VM_CRASH, reason, base, crash)
-        violations = vm_entry_check(self.vmcs)
-        if violations:
-            crash = CrashInfo("VmCrash", violations[0].log)
+        violation = vm_entry_check(self.vmcs)
+        if violation is not None:
+            crash = CrashInfo("VmCrash", violation.log)
             log.debug("entry check failed after reason %d: %s", reason, crash.detail)
             return DispatchResult(ExitOutcome.VM_CRASH, reason, base, crash)
         return DispatchResult(ExitOutcome.RESUME, reason, base)

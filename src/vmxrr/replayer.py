@@ -61,8 +61,7 @@ class ReplayError(Exception):
 
 class OverrideUnderflow(ReplayError):
     def __init__(self, encoding: int) -> None:
-        name = FIELD_TABLE[encoding].name if encoding in FIELD_TABLE else str(encoding)
-        super().__init__(f"vmread of {name} past the recorded reads")
+        super().__init__(f"vmread of {FIELD_TABLE[encoding].name} past the recorded reads")
         self.encoding = encoding
 
 
@@ -72,7 +71,6 @@ class InvalidSeed(ReplayError):
 
 @dataclass(frozen=True)
 class Divergence:
-    frame_index: int
     kind: str        # read_underflow | read_leftover | write_value | write_count
     detail: str
 
@@ -148,7 +146,7 @@ class Replayer:
             else:
                 vmcs.hw_set(encoding, value)
 
-    def replay_frame(self, frame: ExitFrame, index: int = 0) -> FrameReplay:
+    def replay_frame(self, frame: ExitFrame) -> FrameReplay:
         self.inject_seed(frame)
         vmcs = self.session.vm.vmcs
         vmcs.writes = writes = []
@@ -159,7 +157,7 @@ class Replayer:
         try:
             result = self.session.hyp.handle_exit()
         except OverrideUnderflow as exc:
-            divergences.append(Divergence(index, "read_underflow", str(exc)))
+            divergences.append(Divergence("read_underflow", str(exc)))
         vmcs.writes = None
         mask = cov.end_frame()
         leftover = sum(len(q) for q in self.queues.values() if q)
@@ -168,7 +166,7 @@ class Replayer:
                 FIELD_TABLE[enc].name for enc, q in sorted(self.queues.items()) if q
             )
             divergences.append(
-                Divergence(index, "read_leftover", f"{leftover} unread values: {names}")
+                Divergence("read_leftover", f"{leftover} unread values: {names}")
             )
         self.queues.clear()
         self.session.total_exits += 1
@@ -181,30 +179,23 @@ class Replayer:
             else:
                 rec_name = FIELD_TABLE[rec[0]].name
                 rep_name = FIELD_TABLE[rep[0]].name
-                divergences.append(
-                    Divergence(
-                        index,
-                        "write_value",
-                        f"write {pos}: recorded {rec_name}={rec[1]:#x},"
-                        f" replayed {rep_name}={rep[1]:#x}",
-                    )
-                )
+                divergences.append(Divergence(
+                    "write_value",
+                    f"write {pos}: recorded {rec_name}={rec[1]:#x},"
+                    f" replayed {rep_name}={rep[1]:#x}",
+                ))
         if len(recorded) != len(writes):
-            divergences.append(
-                Divergence(
-                    index,
-                    "write_count",
-                    f"recorded {len(recorded)} writes, replayed {len(writes)}",
-                )
-            )
+            divergences.append(Divergence(
+                "write_count", f"recorded {len(recorded)} writes, replayed {len(writes)}"
+            ))
         return FrameReplay(result, mask, tuple(writes), tuple(divergences), matched)
 
     def replay_trace(self, trace: Trace) -> ReplayResult:
         """Replay the frames in order; stop after a frame that underflowed
         its reads or crashed."""
         frames: list[FrameReplay] = []
-        for i, frame in enumerate(trace.frames):
-            fr = self.replay_frame(frame, i)
+        for frame in trace.frames:
+            fr = self.replay_frame(frame)
             frames.append(fr)
             if fr.result is None or fr.result.crash is not None:
                 break
@@ -295,9 +286,14 @@ def mode_timeline(initial_cr0: int, writes_per_frame) -> list[tuple[int, CpuMode
     return timeline
 
 
+def trace_timeline(trace: Trace) -> list[tuple[int, CpuMode]]:
+    """The recorded mode timeline: the trace's initial CR0 view plus each
+    frame's writes."""
+    return mode_timeline(trace.initial_cr0, (frame.writes for frame in trace.frames))
+
+
 def trajectory_of_trace(trace: Trace) -> list[CpuMode]:
-    writes = (frame.writes for frame in trace.frames)
-    return [mode for _, mode in mode_timeline(trace.initial_cr0, writes)]
+    return [mode for _, mode in trace_timeline(trace)]
 
 
 def trajectory_of_replay(result: ReplayResult) -> list[CpuMode]:

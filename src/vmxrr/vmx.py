@@ -320,8 +320,7 @@ class UnknownField(VmxError):
 
 class ReadOnlyField(VmxError):
     def __init__(self, encoding: int) -> None:
-        name = FIELD_TABLE[encoding].name if encoding in FIELD_TABLE else encoding
-        super().__init__(f"vmwrite to read-only field {name}")
+        super().__init__(f"vmwrite to read-only field {FIELD_TABLE[encoding].name}")
         self.encoding = encoding
 
 
@@ -355,8 +354,7 @@ class Vmcs:
 
     def vmptrld(self) -> None:
         if self.launch_state is LaunchState.INACTIVE:
-            self.values = {enc: 0 for enc in FIELD_TABLE}
-            self.launch_state = LaunchState.ACTIVE_CURRENT_CLEAR
+            self.vmclear()
 
     def vmlaunch(self) -> None:
         if self.launch_state is not LaunchState.ACTIVE_CURRENT_CLEAR:
@@ -455,10 +453,9 @@ class Violation:
     log: str
 
 
-def vm_entry_check(vmcs: Vmcs) -> list[Violation]:
-    """Ordered guest-state validity checks; empty list means entry is legal.
-
-    The first violation's log line is what a failed entry reports, so check
+def vm_entry_check(vmcs: Vmcs) -> Violation | None:
+    """The first failing guest-state validity check, or None when entry is
+    legal. A failed entry reports the first violation's log line, so check
     order is part of the contract.
     """
     if vmcs.launch_state is LaunchState.INACTIVE:
@@ -467,32 +464,26 @@ def vm_entry_check(vmcs: Vmcs) -> list[Violation]:
     view = guest_cr0_view(vmcs)
     rip = vmcs.hw_get(GUEST_RIP)
     mode = classify_cr0_mode(view)
-    out: list[Violation] = []
 
     if (view & CR0_PG) and not (view & CR0_PE):
-        out.append(Violation("Cr0PgWithoutPe", "CR0.PG set while CR0.PE clear"))
+        return Violation("Cr0PgWithoutPe", "CR0.PG set while CR0.PE clear")
 
     limit = REAL_MODE_RIP_LIMIT if mode is CpuMode.MODE1 else PROT_MODE_RIP_LIMIT
     if rip >= limit:
-        out.append(Violation("BadRipForMode", f"bad RIP for mode {mode - 1}"))
+        return Violation("BadRipForMode", f"bad RIP for mode {mode - 1}")
 
     if view & ~CR0_KNOWN_BITS:
-        out.append(Violation("Cr0ReservedBits", "reserved CR0 bits set"))
+        return Violation("Cr0ReservedBits", "reserved CR0 bits set")
 
     if (view & CR0_NW) and not (view & CR0_CD):
-        out.append(Violation("Cr0NwWithoutCd", "CR0.NW set while CR0.CD clear"))
+        return Violation("Cr0NwWithoutCd", "CR0.NW set while CR0.CD clear")
 
     if mode is CpuMode.MODE1:
         cs = vmcs.hw_get(GUEST_CS_SELECTOR)
         if cs * 16 + rip >= REAL_MODE_RIP_LIMIT:
-            out.append(
-                Violation("RealModeCsRange", f"bad CS:IP for mode 0 ({cs:#x}:{rip:#x})")
-            )
+            return Violation("RealModeCsRange", f"bad CS:IP for mode 0 ({cs:#x}:{rip:#x})")
 
     gdtr_limit = vmcs.hw_get(GUEST_GDTR_LIMIT)
     if gdtr_limit > GDTR_LIMIT_MAX:
-        out.append(
-            Violation("GdtrLimitOverflow", f"GDTR limit {gdtr_limit:#x} exceeds 16 bits")
-        )
-
-    return out
+        return Violation("GdtrLimitOverflow", f"GDTR limit {gdtr_limit:#x} exceeds 16 bits")
+    return None

@@ -1,7 +1,10 @@
 """Command-line behavior: flows, exit statuses, and file outputs."""
 
+import contextlib
 import hashlib
 import json
+import re
+import signal
 import struct
 from pathlib import Path
 
@@ -26,6 +29,24 @@ from vmxrr.vmx import GUEST_RIP
 
 # JSON nested far past the decoder's recursion limit.
 _TOO_DEEP = "[" * 200000
+
+
+class _Hang(BaseException):
+    """Past a deadline; no handler in the CLI catches a BaseException."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise _Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -433,17 +454,21 @@ def test_report_input_of_the_wrong_shape_is_a_format_error(
                       "replay_cycles": 2}, "record_cycles"),
         ("fitting", _TOO_DEEP, None),
         ("deltas", _TOO_DEEP, None),
+        # Text, since json.dumps writes inf as Infinity: 1e400 reads as inf.
+        ("fitting", '{"fitting_curve": [1e400, 2]}', "fitting_curve"),
+        ("deltas", '[{"profile": "a", "area": "gpr", "reason": "RDTSC",'
+                   ' "coverage_delta_pct": -1e400}]', "coverage_delta_pct"),
     ],
     ids=["fitting-int", "fitting-nested-list", "trajectory-int", "trajectory-frames-str",
          "diffs-list", "diffs-missing", "speedups-str-cycles", "deltas-int-reason",
          "fitting-past-float", "deltas-past-float", "speedups-past-float",
-         "replay-too-deep", "campaigns-too-deep"],
+         "replay-too-deep", "campaigns-too-deep", "fitting-inf", "deltas-minus-inf"],
 )
 def test_report_input_with_a_mistyped_key_is_a_format_error(
     kind, content, key, tmp_path, capsys
 ):
     path = tmp_path / "input.json"
-    path.write_text(content if content is _TOO_DEEP else json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     flag = "--campaigns" if kind == "deltas" else "--replay"
     detail = "JSON nested too deeply to read" if key is None else f"key {key!r} "
     for fmt in ("text", "csv", "svg") if kind == "fitting" else ("text", "csv"):
@@ -451,6 +476,17 @@ def test_report_input_with_a_mistyped_key_is_a_format_error(
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {path}: {detail}")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constants_are_not_json(constant, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(f'{{"fitting_curve": [1e400, {constant}]}}')
+    for argv in (["report", "fitting", "--replay", str(path), "--format", "svg"],
+                 ["fuzz", str(path), "--out-dir", str(tmp_path)]):
+        assert entry(argv) == EXIT_FORMAT
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {path}: {constant} is not a JSON number"]
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +565,15 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
         ("rng_seed", 2**64, "rng_seed"),
         ("rng_seed", -1, "rng_seed"),
         ("config", _TOO_DEEP, None),
+        ("mutants", 1e300, "mutants"),
+        ("mutants", 2**32, "mutants"),
+        ("mutants", 0, "mutants"),
     ],
     ids=["select-int", "reason-null", "reason-list", "mutants-list",
          "rng-seed-null", "trace-int", "artifacts-int", "reason-unknown-code",
          "reason-negative", "reason-bool", "name-list", "name-null",
-         "rng-seed-2-64", "rng-seed-negative", "config-too-deep"],
+         "rng-seed-2-64", "rng-seed-negative", "config-too-deep",
+         "mutants-1e300", "mutants-2-32", "mutants-zero"],
 )
 def test_fuzz_mistyped_config_value_is_a_format_error(
     key, value, named, workdir, tmp_path, capsys
@@ -550,7 +590,8 @@ def test_fuzz_mistyped_config_value_is_a_format_error(
     path = workdir / f"typed-{key}.json"
     deep = value is _TOO_DEEP    # the whole file: json.dumps cannot nest that deep
     path.write_text(value if deep else json.dumps({"campaigns": [job]}))
-    status = entry(["fuzz", str(path), "--out-dir", str(tmp_path)])
+    with _deadline(10):    # an unbounded mutant count would never end
+        status = entry(["fuzz", str(path), "--out-dir", str(tmp_path)])
     assert status == EXIT_FORMAT
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -635,13 +676,72 @@ def test_bit_flipped_inputs_end_in_a_documented_status(tmp_path, monkeypatch):
         bit = rng.below(8 * len(data))
         data[bit // 8] ^= 1 << (bit % 8)
         (tmp_path / "input.json").write_bytes(bytes(data))
-        for kind, flag in (("histogram", "--trace"), ("trajectory", "--replay"),
-                           ("fitting", "--replay"), ("diffs", "--replay"),
-                           ("deltas", "--campaigns"), ("speedups", "--replay")):
+        for kind, flag in _REPORT_INPUTS:
             status = entry(["report", kind, flag, "input.json", "--out", "report.txt"])
             assert status in {EXIT_OK, EXIT_FORMAT}, (bytes(data), kind)
             statuses.add(status)
     assert statuses == {EXIT_OK, EXIT_FORMAT}
+
+
+_REPORT_INPUTS = (("histogram", "--trace"), ("trajectory", "--replay"),
+                  ("fitting", "--replay"), ("diffs", "--replay"),
+                  ("deltas", "--campaigns"), ("speedups", "--replay"))
+
+# A JSON string, or a JSON number outside any string.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+_NOT_JSON = ("NaN", "Infinity", "-Infinity")
+_NUMBER_TEXTS = (*_NOT_JSON, "1e400", "1e300")
+
+
+def test_number_text_in_json_inputs_ends_in_a_documented_status(tmp_path, monkeypatch):
+    """Self-fuzz: one number of a campaign config, a --report JSON or a
+    campaigns.json replaced by NaN, Infinity, -Infinity, 1e400 or 1e300.
+    The first three are not JSON, so they always end in status 3; the
+    others end in 0 or 3. No run may hang."""
+    monkeypatch.chdir(tmp_path)
+    assert entry(["record", "OsBoot", "40", "--seed", "7",
+                  "--out", "boot", "--quiet"]) == EXIT_OK
+    job = {"trace": "boot.iris", "snapshot": "boot.irisnap", "area": "vmcs"}
+    config = {"campaigns": [
+        {**job, "name": "cr", "select": {"first_of_reason": "CR_ACCESS"},
+         "mutants": 20, "rng_seed": 3},
+        {**job, "name": "idx", "select": {"index": 5}, "mutants": 10},
+    ]}
+    config_text = json.dumps(config, indent=2)
+    Path("fuzz.json").write_text(config_text)
+    assert entry(["fuzz", "fuzz.json", "--out-dir", "out", "--quiet"]) == EXIT_OK
+    assert entry(["replay", "boot.iris", "--from", "boot.irisnap", "--with-metrics",
+                  "--report", "report.json", "--quiet"]) == EXIT_OK
+    inputs = {
+        "config": config_text,
+        "report": Path("report.json").read_text(),
+        "campaigns": Path("out/campaigns.json").read_text(),
+    }
+    rng = SplitMix64(11)
+    runs = 0
+    for name, text in inputs.items():
+        spans = [m.span() for m in _JSON_TOKEN.finditer(text) if m.group()[0] != '"']
+        for number in _NUMBER_TEXTS:
+            # Every number of the config; four drawn numbers of each report.
+            picked = spans if name == "config" else [
+                spans[rng.below(len(spans))] for _ in range(4)
+            ]
+            for start, end in picked:
+                mutated = text[:start] + number + text[end:]
+                if name == "config":
+                    Path("fuzz.json").write_text(mutated)
+                    argvs = [["fuzz", "fuzz.json", "--out-dir", "out"]]
+                else:
+                    Path("input.json").write_text(mutated)
+                    argvs = [["report", kind, flag, "input.json", "--out", "report.txt"]
+                             for kind, flag in _REPORT_INPUTS]
+                for argv in argvs:
+                    with _deadline(10):
+                        status = entry([*argv, "--quiet"])
+                    expected = {EXIT_FORMAT} if number in _NOT_JSON else {EXIT_OK, EXIT_FORMAT}
+                    assert status in expected, (name, number, text[start:end], argv)
+                    runs += 1
+    assert runs > 100
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from vmxrr.fuzzer import (
 from vmxrr.recorder import (
     SEED_ENTRY_SIZE,
     ExitFrame,
+    Trace,
     record,
     save_snapshot,
     save_trace,
@@ -33,9 +34,10 @@ from vmxrr.recorder import (
     trace_to_bytes,
 )
 from vmxrr.replayer import Replayer
+from vmxrr.reports import reason_histogram
 from vmxrr.rng import SplitMix64
 from vmxrr.session import Session, prepare_session
-from vmxrr.vmx import EXIT_QUALIFICATION, ExitReason, GprId
+from vmxrr.vmx import EXIT_QUALIFICATION, EXIT_REASON, ExitReason, GprId
 
 _CACHE = {}
 
@@ -170,10 +172,10 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
     target = trace.frames[frame_index]
     replayer = Replayer(snapshot)
     for i in range(frame_index):
-        replayer.replay_frame(trace.frames[i], i)
+        replayer.replay_frame(trace.frames[i])
     session = replayer.session
     base_state = session.snapshot()
-    baseline_mask = replayer.replay_frame(target, frame_index).coverage_mask
+    baseline_mask = replayer.replay_frame(target).coverage_mask
     result = CampaignResult(
         name="", profile=trace.profile, workload_seed=trace.workload_seed,
         frame_index=frame_index, reason=target.reason, area=area,
@@ -186,7 +188,7 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
     for m in range(mutants):
         session.restore(base_state)
         mutation = mutate_random(target, area, rng)
-        fr = replayer.replay_frame(apply_mutation(target, mutation), frame_index)
+        fr = replayer.replay_frame(apply_mutation(target, mutation))
         result.campaign_mask |= fr.coverage_mask
         crash = fr.result and fr.result.crash     # no result: the frame aborted
         if crash is not None:
@@ -210,7 +212,7 @@ def _reference_campaign(trace, snapshot, frame_index, area, mutants, rng_seed):
     )
     for rec in result.crashes:
         session.restore(base_state)
-        fr = replayer.replay_frame(apply_mutation(target, rec.mutation), frame_index)
+        fr = replayer.replay_frame(apply_mutation(target, rec.mutation))
         crash = fr.result and fr.result.crash
         rec.revalidated = crash is not None and (crash.kind, crash.detail) == (
             rec.kind, rec.detail
@@ -261,9 +263,9 @@ def _count_restores_and_replays(monkeypatch) -> dict:
         calls["restore"] += 1
         return restore(self, snap)
 
-    def counting_replay_frame(self, frame, index=0):
+    def counting_replay_frame(self, frame):
         calls["replay_frame"] += 1
-        return replay_frame(self, frame, index)
+        return replay_frame(self, frame)
 
     monkeypatch.setattr(Session, "restore", counting_restore)
     monkeypatch.setattr(Replayer, "replay_frame", counting_replay_frame)
@@ -330,7 +332,7 @@ def test_flipping_an_unread_register_replays_to_the_baseline(profile):
     for i, frame in enumerate(trace.frames):
         before = session.snapshot()
         gprs.reads = set()
-        baseline = replayer.replay_frame(frame, i)
+        baseline = replayer.replay_frame(frame)
         unread = sorted(set(range(len(frame.gprs))) - gprs.reads)
         gprs.reads = None
         after = session.snapshot()
@@ -338,7 +340,7 @@ def test_flipping_an_unread_register_replays_to_the_baseline(profile):
             for bit in (0, 63):
                 session.restore(before)
                 mutant = apply_mutation(frame, Mutation(AREA_GPR, reg, bit))
-                fr = replayer.replay_frame(mutant, i)
+                fr = replayer.replay_frame(mutant)
                 assert (fr.coverage_mask, fr.writes, fr.crash, fr.divergences) == (
                     baseline.coverage_mask, baseline.writes, baseline.crash,
                     baseline.divergences,
@@ -449,10 +451,10 @@ def test_designated_cr_mutation_crashes_the_hypervisor():
     assert frame.reads[qual_pos][1] == 0x700   # mov to cr0 from r8
     rep = Replayer(outcome.start_snapshot)
     for i in range(idx):
-        fr = rep.replay_frame(trace.frames[i], i)
+        fr = rep.replay_frame(trace.frames[i])
         assert not fr.divergences
     mutant = apply_mutation(frame, Mutation(AREA_VMCS, qual_pos, 11))
-    fr = rep.replay_frame(mutant, idx)
+    fr = rep.replay_frame(mutant)
     assert fr.crash.kind == "HypCrash"
     assert fr.result.crash.detail == "cr access gpr index 15 out of range"
 
@@ -511,6 +513,18 @@ def test_mismatched_snapshot_fails_setup():
     with pytest.raises(CampaignSetupError, match="prefix replay"):
         run_test_case(outcome.trace, stranger.snapshot(), 5, AREA_VMCS,
                       mutants=10)
+
+
+def test_an_unknown_target_reason_is_named_like_the_histogram():
+    # A hand-made exit whose reason code is no ExitReason: the handler
+    # reads it back from EXIT_REASON and crashes on dispatch.
+    outcome = _recorded()
+    frame = ExitFrame(999, 0, 0, (0,) * 15, ((EXIT_REASON, 999),))
+    trace = Trace(outcome.trace.profile, outcome.trace.workload_seed,
+                  outcome.trace.initial_cr0, [frame])
+    result = run_test_case(trace, outcome.start_snapshot, 0, AREA_GPR, mutants=5)
+    assert result.to_json()["reason"] == "REASON_999"
+    assert reason_histogram(trace) == [("REASON_999", 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,15 @@ def test_cr_gpr_index_out_of_range_is_a_hypervisor_crash():
     assert "cr.gpr_index_out_of_range" in _labels(hyp.cov.union_mask)
 
 
+def test_cr_mov_from_gpr_index_out_of_range_is_a_hypervisor_crash():
+    vm, hyp = _fresh()
+    op = GuestOp(R.CR_ACCESS, 0, exit_fields={EXIT_QUALIFICATION: (15 << 8) | (1 << 4)})
+    result = _drive(vm, hyp, op)
+    assert result.outcome is ExitOutcome.HYP_CRASH
+    assert result.crash.detail == "cr access gpr index 15 out of range"
+    assert {"cr.mov_from", "cr.gpr_index_out_of_range"} <= _labels(hyp.cov.union_mask)
+
+
 def test_unhandled_control_register_injects_ud():
     vm, hyp = _fresh()
     result = _drive(vm, hyp, GuestOp(R.CR_ACCESS, 0, exit_fields={EXIT_QUALIFICATION: 5}))
@@ -430,6 +439,14 @@ def test_rdmsr_unknown_injects_gp():
     assert vm.vmcs.hw_get(GUEST_RIP) == GP_STUB
 
 
+def test_rdmsr_wide_index_injects_gp():
+    vm, hyp = _fresh()
+    result = _drive(vm, hyp, GuestOp(R.RDMSR, 0, gpr_values={GprId.RCX: 1 << 32}))
+    assert result.outcome is ExitOutcome.RESUME
+    assert vm.vmcs.hw_get(GUEST_RIP) == GP_STUB
+    assert "rdmsr.index_wide" in _labels(hyp.cov.union_mask)
+
+
 def test_wrmsr_tsc_sets_the_offset():
     vm, hyp = _fresh()
     hyp.tsc = 5000
@@ -459,6 +476,17 @@ def test_ept_ram_access_resumes():
     assert result.outcome is ExitOutcome.RESUME
     assert vm.vmcs.hw_get(GUEST_RIP) == rip + 4
     assert "ept.gpa_ram" in _labels(hyp.cov.union_mask)
+
+
+def test_ept_write_exec_access_at_a_page_tail():
+    vm, hyp = _fresh()
+    op = GuestOp(R.EPT_VIOLATION, 0, exit_fields={
+        EXIT_QUALIFICATION: 0x6,
+        GUEST_PHYSICAL_ADDRESS: 0x20_0FF8,
+    })
+    result = _drive(vm, hyp, op)
+    assert result.outcome is ExitOutcome.RESUME
+    assert {"ept.write_exec_combo", "ept.page_tail"} <= _labels(hyp.cov.union_mask)
 
 
 def test_ept_unmapped_gpa_crashes_the_vm():

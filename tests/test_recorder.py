@@ -30,6 +30,8 @@ from vmxrr.recorder import (
     trace_from_bytes,
     trace_to_bytes,
 )
+from vmxrr.guest import GuestOp
+from vmxrr.hypervisor import CrashInfo
 from vmxrr.rng import RNG_ALGORITHM
 from vmxrr.session import SessionSnapshot, prepare_session
 from vmxrr.vmx import (
@@ -364,6 +366,18 @@ def test_record_captures_from_the_start_state():
     with pytest.raises(RuntimeError):
         session.auto_boot(1)
     assert session.capture == []
+
+
+def test_session_run_stops_at_the_first_crashing_exit():
+    session, _ = prepare_session("CpuBound", 1, 10)
+    session.capture = []
+    timer = GuestOp(ExitReason.PREEMPTION_TIMER, 0)
+    result = session.run([timer, GuestOp(ExitReason.TRIPLE_FAULT, 0), timer])
+    assert result.completed == 2
+    assert result.crash == CrashInfo("VmCrash", "triple fault: guest shutdown")
+    assert [f.reason for f in session.capture] == [
+        ExitReason.PREEMPTION_TIMER, ExitReason.TRIPLE_FAULT,
+    ]
 
 
 def test_record_cycles_equal_the_frame_costs():

@@ -10,6 +10,7 @@ from vmxrr.replayer import (
     ASYNC_MASK,
     IDEAL_COVERAGE_MASK,
     AccuracyReport,
+    Divergence,
     FrameReplay,
     InvalidSeed,
     OverrideUnderflow,
@@ -33,6 +34,7 @@ from vmxrr.vmx import (
     CR0_PE,
     CR0_PG,
     EXIT_REASON,
+    FIELD_TABLE,
     GUEST_CR0,
     GUEST_RIP,
     GUEST_RSP,
@@ -152,14 +154,14 @@ def _first_rdtsc(trace):
 def test_missing_read_aborts_with_underflow():
     outcome = _recorded()
     frame = _first_rdtsc(outcome.trace)
-    frame = replace(frame, reads=frame.reads[:-1])
+    *kept, (dropped, _) = frame.reads
     rep = Replayer(outcome.start_snapshot)
-    fr = rep.replay_frame(frame, index=3)
+    fr = rep.replay_frame(replace(frame, reads=tuple(kept)))
     assert fr.result is None
     assert fr.crash is None
-    assert fr.divergences[0].kind == "read_underflow"
-    assert fr.divergences[0].frame_index == 3
-    assert "past the recorded reads" in fr.divergences[0].detail
+    assert fr.divergences[0] == Divergence(
+        "read_underflow", f"vmread of {FIELD_TABLE[dropped].name} past the recorded reads"
+    )
 
 
 def test_extra_read_reports_leftover():
@@ -209,8 +211,9 @@ def test_doctored_trace_replays_unclean():
     )
     replay = Replayer(outcome.start_snapshot).replay_trace(bad)
     assert not replay.clean
-    assert replay.divergences[0].kind == "read_leftover"
-    assert replay.divergences[0].frame_index == 0
+    # An exit's index is its position in the replay's frames.
+    assert replay.frames[0].divergences[0].kind == "read_leftover"
+    assert replay.divergences[0] == replay.frames[0].divergences[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +272,7 @@ def _reference_totals(snapshot, trace):
     curve = []
     rec_cum = rep_cum = 0
     for i, frame in enumerate(trace.frames):
-        fr = replayer.replay_frame(frame, i)
+        fr = replayer.replay_frame(frame)
         completed += 1
         crash = fr.crash
         divergences.extend(fr.divergences)

@@ -153,7 +153,7 @@ def test_read_only_fields_reject_vmwrite():
     vmcs.vmclear()
     for enc, spec in FIELD_TABLE.items():
         if spec.access is FieldAccess.READ_ONLY:
-            with pytest.raises(ReadOnlyField):
+            with pytest.raises(ReadOnlyField, match=f"^vmwrite to read-only field {spec.name}$"):
                 vmcs.vmwrite(enc, 1)
     # hw_set is the hardware path and may set anything.
     vmcs.hw_set(EXIT_REASON, 10)
@@ -294,7 +294,7 @@ def _entry_vmcs() -> Vmcs:
 
 
 def test_entry_check_passes_on_sane_state():
-    assert vm_entry_check(_entry_vmcs()) == []
+    assert vm_entry_check(_entry_vmcs()) is None
 
 
 def test_entry_check_requires_active_vmcs():
@@ -305,9 +305,9 @@ def test_entry_check_requires_active_vmcs():
 def test_entry_check_pg_requires_pe():
     vmcs = _entry_vmcs()
     vmcs.hw_set(GUEST_CR0, CR0_PG)
-    violations = vm_entry_check(vmcs)
-    assert violations[0].check == "Cr0PgWithoutPe"
-    assert violations[0].log == "CR0.PG set while CR0.PE clear"
+    violation = vm_entry_check(vmcs)
+    assert violation.check == "Cr0PgWithoutPe"
+    assert violation.log == "CR0.PG set while CR0.PE clear"
 
 
 def test_entry_check_rip_limit_depends_on_mode():
@@ -315,29 +315,29 @@ def test_entry_check_rip_limit_depends_on_mode():
     vmcs = _entry_vmcs()
     vmcs.hw_set(GUEST_CR0, 0)
     vmcs.hw_set(GUEST_RIP, 1 << 20)
-    violations = vm_entry_check(vmcs)
-    assert violations[0].check == "BadRipForMode"
-    assert violations[0].log == "bad RIP for mode 0"
+    violation = vm_entry_check(vmcs)
+    assert violation.check == "BadRipForMode"
+    assert violation.log == "bad RIP for mode 0"
     # Protected mode: 32-bit limit, the same RIP is fine.
     vmcs = _entry_vmcs()
     vmcs.hw_set(GUEST_RIP, 1 << 20)
-    assert vm_entry_check(vmcs) == []
+    assert vm_entry_check(vmcs) is None
     vmcs.hw_set(GUEST_RIP, 1 << 32)
-    assert vm_entry_check(vmcs)[0].log == "bad RIP for mode 2"
+    assert vm_entry_check(vmcs).log == "bad RIP for mode 2"
 
 
 def test_entry_check_reserved_cr0_bits():
     vmcs = _entry_vmcs()
     vmcs.hw_set(GUEST_CR0, CR0_PE | CR0_PG | (1 << 12))
-    assert vm_entry_check(vmcs)[0].check == "Cr0ReservedBits"
+    assert vm_entry_check(vmcs).check == "Cr0ReservedBits"
 
 
 def test_entry_check_nw_needs_cd():
     vmcs = _entry_vmcs()
     vmcs.hw_set(GUEST_CR0, CR0_PE | CR0_PG | CR0_NW)
-    assert vm_entry_check(vmcs)[0].check == "Cr0NwWithoutCd"
+    assert vm_entry_check(vmcs).check == "Cr0NwWithoutCd"
     vmcs.hw_set(GUEST_CR0, CR0_PE | CR0_PG | CR0_NW | CR0_CD)
-    assert vm_entry_check(vmcs) == []
+    assert vm_entry_check(vmcs) is None
 
 
 def test_entry_check_real_mode_cs_window():
@@ -346,19 +346,19 @@ def test_entry_check_real_mode_cs_window():
     vmcs.hw_set(GUEST_CR0, 0)
     vmcs.hw_set(GUEST_CS_SELECTOR, 0xFFFF)
     vmcs.hw_set(GUEST_RIP, 0x10)
-    violations = vm_entry_check(vmcs)
-    assert violations[0].check == "RealModeCsRange"
-    assert violations[0].log == "bad CS:IP for mode 0 (0xffff:0x10)"
+    violation = vm_entry_check(vmcs)
+    assert violation.check == "RealModeCsRange"
+    assert violation.log == "bad CS:IP for mode 0 (0xffff:0x10)"
     vmcs.hw_set(GUEST_RIP, 0xF)
-    assert vm_entry_check(vmcs) == []
+    assert vm_entry_check(vmcs) is None
 
 
 def test_entry_check_gdtr_limit_width():
     vmcs = _entry_vmcs()
     vmcs.hw_set(GUEST_GDTR_LIMIT, GDTR_LIMIT_MAX)
-    assert vm_entry_check(vmcs) == []
+    assert vm_entry_check(vmcs) is None
     vmcs.hw_set(GUEST_GDTR_LIMIT, GDTR_LIMIT_MAX + 1)
-    assert vm_entry_check(vmcs)[0].check == "GdtrLimitOverflow"
+    assert vm_entry_check(vmcs).check == "GdtrLimitOverflow"
 
 
 def test_entry_check_orders_pg_before_rip():
@@ -366,9 +366,10 @@ def test_entry_check_orders_pg_before_rip():
     vmcs = _entry_vmcs()
     vmcs.hw_set(GUEST_CR0, CR0_PG)
     vmcs.hw_set(GUEST_RIP, 1 << 33)
-    checks = [v.check for v in vm_entry_check(vmcs)]
-    assert checks[0] == "Cr0PgWithoutPe"
-    assert "BadRipForMode" in checks
+    assert vm_entry_check(vmcs).check == "Cr0PgWithoutPe"
+    # With PG cleared, the same state reports the RIP check next in order.
+    vmcs.hw_set(GUEST_CR0, 0)
+    assert vm_entry_check(vmcs).check == "BadRipForMode"
 
 
 def test_entry_check_uses_the_guest_view():
@@ -377,7 +378,7 @@ def test_entry_check_uses_the_guest_view():
     vmcs.hw_set(GUEST_CR0, CR0_PG)
     vmcs.hw_set(CR0_GUEST_HOST_MASK, CR0_PE)
     vmcs.hw_set(CR0_READ_SHADOW, CR0_PE)
-    assert vm_entry_check(vmcs) == []
+    assert vm_entry_check(vmcs) is None
 
 
 def test_cr0_known_bits_contents():
