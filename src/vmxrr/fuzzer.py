@@ -26,7 +26,7 @@ of its 960 distinct mutations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,10 +96,12 @@ def apply_mutation(frame: ExitFrame, mutation: Mutation) -> ExitFrame:
     i, flip = mutation.entry_index, 1 << mutation.bit
     if mutation.area == AREA_GPR:
         values[i] ^= flip
-        return replace(frame, gprs=tuple(values))
+        return ExitFrame(frame.reason, frame.cycle_cost, frame.coverage_mask,
+                         tuple(values), frame.reads, frame.writes)
     encoding, value = values[i]
     values[i] = (encoding, value ^ flip)
-    return replace(frame, reads=tuple(values))
+    return ExitFrame(frame.reason, frame.cycle_cost, frame.coverage_mask,
+                     frame.gprs, tuple(values), frame.writes)
 
 
 @dataclass
@@ -361,13 +363,19 @@ def replay_artifact(meta_path: str | Path) -> ArtifactReplay:
 def find_frame(trace: Trace, select: dict) -> int | None:
     """Resolve a target selection rule to an exit index.
 
-    Rules: {"index": N} picks exit N; {"first_of_reason": name-or-code} picks
-    the first exit of that reason, None when the trace has no such exit.
+    Rules: {"index": N} picks exit N, which must be in the trace;
+    {"first_of_reason": name-or-code} picks the first exit of that reason,
+    None when the trace has no such exit.
     """
     if not isinstance(select, dict):
         raise CampaignSetupError("'select' must be a JSON object")
     if "index" in select:
-        return _config_int(select, "index")
+        index = _config_int(select, "index")
+        if not 0 <= index < len(trace.frames):
+            raise CampaignSetupError(
+                f"exit index {select['index']!r} outside trace of {len(trace.frames)} exits"
+            )
+        return index
     if "first_of_reason" not in select:
         raise CampaignSetupError(
             "selection rule needs either 'index' or 'first_of_reason'"
@@ -386,12 +394,15 @@ def find_frame(trace: Trace, select: dict) -> int | None:
 
 
 def _config_int(job: dict, key: str, default: int = 0) -> int:
-    """job[key] as an int, with int()'s leniency ("7" and 7.0 are accepted)."""
+    """job[key] as an int, with int()'s leniency ("7" and 7.0 are accepted)
+    but not for JSON booleans."""
     value = job.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise CampaignSetupError(f"{key!r} must be an integer, not {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise CampaignSetupError(f"{key!r} must be an integer, not {value!r}")
 
 
 def run_config(
@@ -439,7 +450,8 @@ def run_config(
                 raise CampaignSetupError(f"'mutants' must be in [1, 2**32), not {value!r}")
             rng_seed = _config_int(job, "rng_seed", default_rng_seed)
             if not 0 <= rng_seed <= MASK64:
-                raise CampaignSetupError(f"'rng_seed' must be in [0, 2**64), not {rng_seed}")
+                value = job.get("rng_seed", default_rng_seed)
+                raise CampaignSetupError(f"'rng_seed' must be in [0, 2**64), not {value!r}")
             trace_path = str(base / job["trace"])
             snap_path = str(base / job["snapshot"])
             if trace_path not in traces:

@@ -568,12 +568,21 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
         ("mutants", 1e300, "mutants"),
         ("mutants", 2**32, "mutants"),
         ("mutants", 0, "mutants"),
+        ("select", {"index": 150}, 150),
+        ("select", {"index": -1}, -1),
+        ("select", {"index": 1e300}, 1e300),
+        ("rng_seed", 1e300, 1e300),
+        ("select", {"index": True}, "index"),
+        ("mutants", True, "mutants"),
+        ("rng_seed", False, "rng_seed"),
     ],
     ids=["select-int", "reason-null", "reason-list", "mutants-list",
          "rng-seed-null", "trace-int", "artifacts-int", "reason-unknown-code",
          "reason-negative", "reason-bool", "name-list", "name-null",
          "rng-seed-2-64", "rng-seed-negative", "config-too-deep",
-         "mutants-1e300", "mutants-2-32", "mutants-zero"],
+         "mutants-1e300", "mutants-2-32", "mutants-zero",
+         "index-past-end", "index-negative", "index-1e300", "rng-seed-1e300",
+         "index-bool", "mutants-bool", "rng-seed-bool"],
 )
 def test_fuzz_mistyped_config_value_is_a_format_error(
     key, value, named, workdir, tmp_path, capsys
