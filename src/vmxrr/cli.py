@@ -376,7 +376,7 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
                 "reason": op.reason.name,
                 "compute_cycles": op.compute_cycles,
                 "exit_fields": {
-                    FIELD_TABLE[enc].name: value
+                    FIELD_TABLE[enc]: value
                     for enc, value in sorted(op.exit_fields.items())
                 },
                 "gprs": {

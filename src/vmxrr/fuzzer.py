@@ -208,9 +208,9 @@ def run_test_case(
             )
     session = replayer.session
     base_state = session.snapshot()
-    base_cr0_view = guest_cr0_view(session.vm.vmcs)
+    base_cr0_view = guest_cr0_view(session.vmcs)
 
-    gprs = session.vm.gprs
+    gprs = session.gprs
     gprs.reads = set()
     baseline = replayer.replay_frame(target)
     unread = set(range(len(target.gprs))) - gprs.reads if area == AREA_GPR else set()
@@ -380,24 +380,30 @@ def find_frame(trace: Trace, select: dict) -> int | None:
         raise CampaignSetupError(
             "selection rule needs either 'index' or 'first_of_reason'"
         )
-    want = select["first_of_reason"]
-    if isinstance(want, bool) or not isinstance(want, (str, int)):
-        raise CampaignSetupError("'first_of_reason' must be a reason name or code")
-    try:
-        want = ExitReason[want] if isinstance(want, str) else ExitReason(want)
-    except (KeyError, ValueError):
-        raise CampaignSetupError(f"unknown exit reason {want!r}") from None
+    reason = _target_reason(select)
     for i, frame in enumerate(trace.frames):
-        if frame.reason == want:
+        if frame.reason == reason:
             return i
     return None
 
 
+def _target_reason(select: dict) -> ExitReason:
+    """The reason a {"first_of_reason": name-or-code} rule selects."""
+    want = select["first_of_reason"]
+    if isinstance(want, bool) or not isinstance(want, (str, int)):
+        raise CampaignSetupError("'first_of_reason' must be a reason name or code")
+    try:
+        return ExitReason[want] if isinstance(want, str) else ExitReason(want)
+    except (KeyError, ValueError):
+        raise CampaignSetupError(f"unknown exit reason {want!r}") from None
+
+
 def _config_int(job: dict, key: str, default: int = 0) -> int:
     """job[key] as an int, with int()'s leniency ("7" and 7.0 are accepted)
-    but not for JSON booleans."""
+    but not for JSON booleans or numbers with a fractional part."""
     value = job.get(key, default)
-    if not isinstance(value, bool):
+    fraction = isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fraction:
         try:
             return int(value)
         except (TypeError, ValueError, OverflowError):
@@ -470,7 +476,7 @@ def run_config(
                     profile=trace.profile,
                     workload_seed=trace.workload_seed,
                     frame_index=-1,
-                    reason=ExitReason[want].value if isinstance(want, str) else int(want),
+                    reason=_target_reason(job["select"]),
                     area=area,
                     mutants=mutants,
                     rng_seed=rng_seed,

@@ -1,4 +1,4 @@
-"""Synthetic guest workloads: exit scripts, boot prologue, and the guest VM.
+"""Synthetic guest workloads: exit scripts, boot prologue, and raising exits.
 
 A workload is a deterministic list of exit descriptions generated from a
 profile and an RNG seed. The guest "runs" by raising each described exit:
@@ -18,8 +18,6 @@ from .vmx import (
     CR0_PG,
     EXIT_QUALIFICATION,
     EXIT_REASON,
-    FIELD_TABLE,
-    FieldArea,
     GUEST_ACTIVITY_STATE,
     GUEST_CR0,
     GUEST_CR3,
@@ -43,6 +41,7 @@ from .vmx import (
     HOST_RIP,
     HOST_RSP,
     PIN_BASED_CONTROLS,
+    READ_ONLY_FIELDS,
     VM_EXIT_INSTRUCTION_LEN,
     VM_EXIT_INTERRUPTION_INFO,
     ExitReason,
@@ -152,11 +151,6 @@ INSTR_LEN: dict[int, int] = {
     R.EPT_VIOLATION: 4,
 }
 
-EXIT_INFO_FIELDS: tuple[int, ...] = tuple(
-    enc for enc, spec in sorted(FIELD_TABLE.items())
-    if spec.area is FieldArea.EXIT_INFO
-)
-
 
 @dataclass
 class GuestOp:
@@ -257,7 +251,7 @@ class GuestProgram:
         ops: list[GuestOp] = []
         if profile.boot:
             ops.extend(boot_prologue(rng, profile.compute_range))
-        self._cr0_view = CR0_PE | CR0_PG if profile.boot else None
+        self._cr0_view = CR0_PE | CR0_PG    # after the boot prologue or auto_boot
         while len(ops) < n_exits:
             reason = rng.weighted(profile.mix)
             ops.append(self._synth(reason, rng))
@@ -337,11 +331,8 @@ class GuestProgram:
         if cr == 0:
             # Toggle only bits that never change the execution mode, so the
             # whole mode trajectory stays owned by the boot prologue.
-            view = self._cr0_view if self._cr0_view is not None else CR0_PE | CR0_PG
-            toggle = rng.choice((1 << 1, 1 << 5, 1 << 16))   # MP, NE, WP
-            value = view ^ toggle
-            self._cr0_view = value
-            gprs[reg] = value
+            self._cr0_view ^= rng.choice((1 << 1, 1 << 5, 1 << 16))   # MP, NE, WP
+            gprs[reg] = self._cr0_view
         elif cr == 4:
             gprs[reg] = rng.weighted([(0, 0.4), (1 << 18, 0.4), (1 << 9, 0.2)])
         else:
@@ -428,29 +419,24 @@ def _order_wakeups(ops: list[GuestOp]) -> None:
                 break
 
 
-class GuestVm:
-    """A virtual CPU: one VMCS plus the register file exits spill into."""
+def power_on(vmcs: Vmcs) -> None:
+    vmcs.vmclear()
+    for enc, value in BOOT_STATE.items():
+        vmcs.hw_set(enc, value)
+    vmcs.vmlaunch()
 
-    def __init__(self) -> None:
-        self.vmcs = Vmcs()
-        self.gprs = GprFile()
 
-    def power_on(self) -> None:
-        self.vmcs.vmclear()
-        for enc, value in BOOT_STATE.items():
-            self.vmcs.hw_set(enc, value)
-        self.vmcs.vmlaunch()
+def raise_exit(vmcs: Vmcs, gprs: GprFile, op: GuestOp) -> None:
+    for enc in READ_ONLY_FIELDS:
+        vmcs.hw_set(enc, 0)
+    vmcs.hw_set(EXIT_REASON, op.reason)
+    vmcs.hw_set(VM_EXIT_INSTRUCTION_LEN, INSTR_LEN.get(op.reason, 0))
+    for enc, value in op.exit_fields.items():
+        vmcs.hw_set(enc, value)
+    for gpr, value in op.gpr_values.items():
+        gprs.write(gpr, value)
 
-    def raise_exit(self, op: GuestOp) -> None:
-        for enc in EXIT_INFO_FIELDS:
-            self.vmcs.hw_set(enc, 0)
-        self.vmcs.hw_set(EXIT_REASON, op.reason)
-        self.vmcs.hw_set(VM_EXIT_INSTRUCTION_LEN, INSTR_LEN.get(op.reason, 0))
-        for enc, value in op.exit_fields.items():
-            self.vmcs.hw_set(enc, value)
-        for gpr, value in op.gpr_values.items():
-            self.gprs.write(gpr, value)
 
-    def apply_post(self, op: GuestOp) -> None:
-        for enc, value in op.post_guest.items():
-            self.vmcs.hw_set(enc, value)
+def apply_post(vmcs: Vmcs, op: GuestOp) -> None:
+    for enc, value in op.post_guest.items():
+        vmcs.hw_set(enc, value)

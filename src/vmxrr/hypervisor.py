@@ -266,32 +266,6 @@ def coverage_blocks_csv() -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-class CoverageBitmap:
-    """Per-exit block hits plus the cumulative union over a run.
-
-    The frame mask is what a recorded exit carries; the caller decides frame
-    boundaries via begin_frame/end_frame so recording never changes when bits
-    are cleared.
-    """
-
-    __slots__ = ("frame_mask", "union_mask")
-
-    def __init__(self) -> None:
-        self.frame_mask = 0
-        self.union_mask = 0
-
-    def hit(self, block_id: int) -> None:
-        self.frame_mask |= 1 << block_id
-
-    def begin_frame(self) -> None:
-        self.frame_mask = 0
-
-    def end_frame(self) -> int:
-        mask = self.frame_mask
-        self.union_mask |= mask
-        return mask
-
-
 # ---------------------------------------------------------------------------
 # Cost model (virtual cycles)
 # ---------------------------------------------------------------------------
@@ -347,12 +321,18 @@ class HypervisorBug(Exception):
 
 
 class Hypervisor:
-    """Dispatches exits on the current VMCS + register file, tracks coverage."""
+    """Dispatches exits on the current VMCS + register file, tracks coverage.
+
+    A recorded exit carries `frame_mask`, its block hits; `union_mask` is their
+    union over the run. The caller decides frame boundaries (begin_frame,
+    end_frame) so recording never changes when bits are cleared.
+    """
 
     def __init__(self, vmcs: Vmcs, gprs: GprFile) -> None:
         self.vmcs = vmcs
         self.gprs = gprs
-        self.cov = CoverageBitmap()
+        self.frame_mask = 0
+        self.union_mask = 0
         self.tsc = 0
         self._handlers = {
             ExitReason.EXTERNAL_INTERRUPT: self._handle_external_interrupt,
@@ -370,7 +350,18 @@ class Hypervisor:
             ExitReason.PREEMPTION_TIMER: self._handle_preemption_timer,
         }
 
-    # -- plumbing -------------------------------------------------------------
+    # -- plumbing and coverage --------------------------------------------------
+
+    def hit(self, block_id: int) -> None:
+        self.frame_mask |= 1 << block_id
+
+    def begin_frame(self) -> None:
+        self.frame_mask = 0
+
+    def end_frame(self) -> int:
+        mask = self.frame_mask
+        self.union_mask |= mask
+        return mask
 
     def _advance_rip(self) -> None:
         rip = self.vmcs.vmread(GUEST_RIP)
@@ -382,7 +373,7 @@ class Hypervisor:
         self.vmcs.vmwrite(GUEST_RIP, FAULT_VECTOR_BASE + vector * 16)
 
     def handle_exit(self) -> DispatchResult:
-        hit = self.cov.hit
+        hit = self.hit
         hit(B_DISPATCH_ENTRY)
         reason = self.vmcs.vmread(EXIT_REASON) & 0xFFFF
         handler = self._handlers.get(reason)
@@ -414,7 +405,7 @@ class Hypervisor:
     # -- handlers ---------------------------------------------------------------
 
     def _handle_external_interrupt(self) -> str | None:
-        hit, vmcs = self.cov.hit, self.vmcs
+        hit, vmcs = self.hit, self.vmcs
         hit(B_EXTINT_ENTRY)
         info = vmcs.vmread(VM_EXIT_INTERRUPTION_INFO)
         hit(B_EXTINT_VALID if info & (1 << 31) else B_EXTINT_SPURIOUS)
@@ -437,12 +428,12 @@ class Hypervisor:
         return None
 
     def _handle_triple_fault(self) -> str | None:
-        self.cov.hit(B_TF_ENTRY)
-        self.cov.hit(B_TF_LOG)
+        self.hit(B_TF_ENTRY)
+        self.hit(B_TF_LOG)
         return "triple fault: guest shutdown"
 
     def _handle_interrupt_window(self) -> str | None:
-        hit, vmcs = self.cov.hit, self.vmcs
+        hit, vmcs = self.hit, self.vmcs
         hit(B_IW_ENTRY)
         rflags = vmcs.vmread(GUEST_RFLAGS)
         hit(B_IW_IF_OPEN if rflags & RFLAGS_IF else B_IW_IF_SHUT)
@@ -469,7 +460,7 @@ class Hypervisor:
         return None
 
     def _handle_cpuid(self) -> str | None:
-        hit, gprs = self.cov.hit, self.gprs
+        hit, gprs = self.hit, self.gprs
         hit(B_CPUID_ENTRY)
         leaf = gprs.read(GprId.RAX)
         subleaf = gprs.read(GprId.RCX)
@@ -522,7 +513,7 @@ class Hypervisor:
         return None
 
     def _handle_hlt(self) -> str | None:
-        hit, vmcs = self.cov.hit, self.vmcs
+        hit, vmcs = self.hit, self.vmcs
         hit(B_HLT_ENTRY)
         hit(B_HLT_ALREADY_IDLE if vmcs.vmread(GUEST_ACTIVITY_STATE) else B_HLT_FROM_ACTIVE)
         hit(B_HLT_IF_OPEN if vmcs.vmread(GUEST_RFLAGS) & RFLAGS_IF else B_HLT_IF_SHUT)
@@ -535,7 +526,7 @@ class Hypervisor:
         return None
 
     def _handle_rdtsc(self) -> str | None:
-        hit, gprs = self.cov.hit, self.gprs
+        hit, gprs = self.hit, self.gprs
         hit(B_RDTSC_ENTRY)
         offset = self.vmcs.vmread(TSC_OFFSET)
         hit(B_RDTSC_OFFSET_ZERO if offset == 0 else B_RDTSC_OFFSET_SET)
@@ -549,7 +540,7 @@ class Hypervisor:
         return None
 
     def _handle_vmcall(self) -> str | None:
-        hit, gprs = self.cov.hit, self.gprs
+        hit, gprs = self.hit, self.gprs
         hit(B_VMCALL_ENTRY)
         index = gprs.read(GprId.RAX)
         hit(B_VMCALL_UNALIGNED if self.vmcs.vmread(GUEST_RSP) & 0xF else B_VMCALL_ALIGNED)
@@ -581,7 +572,7 @@ class Hypervisor:
         return None
 
     def _handle_cr_access(self) -> str | None:
-        hit, vmcs, gprs = self.cov.hit, self.vmcs, self.gprs
+        hit, vmcs, gprs = self.hit, self.vmcs, self.gprs
         hit(B_CR_ENTRY)
         qual = vmcs.vmread(EXIT_QUALIFICATION)
         cr = qual & 0xF
@@ -693,7 +684,7 @@ class Hypervisor:
         return ((port * 0x9E3779B9) >> 8) & ((1 << (8 * width)) - 1)
 
     def _handle_io(self) -> str | None:
-        hit, vmcs, gprs = self.cov.hit, self.vmcs, self.gprs
+        hit, vmcs, gprs = self.hit, self.vmcs, self.gprs
         hit(B_IO_ENTRY)
         qual = vmcs.vmread(EXIT_QUALIFICATION)
         size_code = qual & 0x7
@@ -743,7 +734,7 @@ class Hypervisor:
         return None
 
     def _handle_rdmsr(self) -> str | None:
-        hit, gprs = self.cov.hit, self.gprs
+        hit, gprs = self.hit, self.gprs
         hit(B_RDMSR_ENTRY)
         msr = gprs.read(GprId.RCX)
         if msr >> 32:
@@ -782,7 +773,7 @@ class Hypervisor:
         return None
 
     def _handle_wrmsr(self) -> str | None:
-        hit, gprs = self.cov.hit, self.gprs
+        hit, gprs = self.hit, self.gprs
         hit(B_WRMSR_ENTRY)
         msr = gprs.read(GprId.RCX)
         value = ((gprs.read(GprId.RDX) & 0xFFFFFFFF) << 32) | (
@@ -818,7 +809,7 @@ class Hypervisor:
         return None
 
     def _handle_ept_violation(self) -> str | None:
-        hit, vmcs = self.cov.hit, self.vmcs
+        hit, vmcs = self.hit, self.vmcs
         hit(B_EPT_ENTRY)
         qual = vmcs.vmread(EXIT_QUALIFICATION)
         if (qual & 0x2) and (qual & 0x4):
@@ -858,7 +849,7 @@ class Hypervisor:
         return None
 
     def _handle_preemption_timer(self) -> str | None:
-        hit, vmcs = self.cov.hit, self.vmcs
+        hit, vmcs = self.hit, self.vmcs
         hit(B_TIMER_ENTRY)
         hit(B_TIMER_ZERO if vmcs.vmread(VMX_PREEMPTION_TIMER_VALUE) == 0 else B_TIMER_LATE)
         vmcs.vmwrite(VMX_PREEMPTION_TIMER_VALUE, 0)

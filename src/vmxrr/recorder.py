@@ -312,13 +312,13 @@ def snapshot_from_bytes(data: bytes) -> SessionSnapshot:
             raise TraceFormatError(f"snapshot field encoding {enc} unknown")
         if enc <= previous:
             raise TraceFormatError(
-                f"snapshot field {FIELD_TABLE[enc].name} repeated or out of order"
+                f"snapshot field {FIELD_TABLE[enc]} repeated or out of order"
             )
         previous = enc
         values[enc] = value
     missing = FIELD_TABLE.keys() - values.keys()
     if missing:
-        raise TraceFormatError(f"snapshot lacks field {FIELD_TABLE[min(missing)].name}")
+        raise TraceFormatError(f"snapshot lacks field {FIELD_TABLE[min(missing)]}")
     if end != len(body):
         raise TraceCorrupt(f"{len(body) - end} trailing bytes in snapshot")
     return SessionSnapshot(
@@ -368,7 +368,7 @@ def record(
     """
     session, program = prepare_session(profile_name, workload_seed, n_exits)
     start_snapshot = session.snapshot()
-    trace = Trace(profile_name, workload_seed, guest_cr0_view(session.vm.vmcs))
+    trace = Trace(profile_name, workload_seed, guest_cr0_view(session.vmcs))
     session.capture = trace.frames
     if noise_probability > 0.0:
         session.noise = NoiseInjector(workload_seed, noise_probability)

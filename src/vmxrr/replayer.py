@@ -39,9 +39,9 @@ from .session import (
 )
 from .vmx import (
     FIELD_TABLE,
-    FieldAccess,
     GPR_COUNT,
     GUEST_CR0,
+    READ_ONLY_FIELDS,
     CpuMode,
     ExitReason,
     classify_cr0_mode,
@@ -61,7 +61,7 @@ class ReplayError(Exception):
 
 class OverrideUnderflow(ReplayError):
     def __init__(self, encoding: int) -> None:
-        super().__init__(f"vmread of {FIELD_TABLE[encoding].name} past the recorded reads")
+        super().__init__(f"vmread of {FIELD_TABLE[encoding]} past the recorded reads")
         self.encoding = encoding
 
 
@@ -117,11 +117,10 @@ class ReplayResult:
 class Replayer:
     def __init__(self, snapshot: SessionSnapshot | None = None) -> None:
         self.session = Session()
-        self.session.power_on()
         if snapshot is not None:
             self.session.restore(snapshot)
         self.queues: dict[int, deque[int]] = {}
-        self.session.vm.vmcs.read_override = self._override
+        self.session.vmcs.read_override = self._override
 
     def _override(self, encoding: int) -> int:
         queue = self.queues.get(encoding)
@@ -134,36 +133,35 @@ class Replayer:
             raise InvalidSeed(
                 f"seed carries {len(frame.gprs)} registers, expected {GPR_COUNT}"
             )
-        self.session.vm.gprs.regs = list(frame.gprs)
+        self.session.gprs.regs = list(frame.gprs)
         self.queues.clear()
-        vmcs = self.session.vm.vmcs
+        vmcs = self.session.vmcs
         for encoding, value in frame.reads:
-            spec = FIELD_TABLE.get(encoding)
-            if spec is None:
+            if encoding not in FIELD_TABLE:
                 raise InvalidSeed(f"read entry for unknown field {encoding}")
-            if spec.access is FieldAccess.READ_ONLY:
+            if encoding in READ_ONLY_FIELDS:
                 self.queues.setdefault(encoding, deque()).append(value)
             else:
                 vmcs.hw_set(encoding, value)
 
     def replay_frame(self, frame: ExitFrame) -> FrameReplay:
         self.inject_seed(frame)
-        vmcs = self.session.vm.vmcs
+        vmcs = self.session.vmcs
         vmcs.writes = writes = []
-        cov = self.session.hyp.cov
-        cov.begin_frame()
+        hyp = self.session.hyp
+        hyp.begin_frame()
         divergences: list[Divergence] = []
         result: DispatchResult | None = None
         try:
-            result = self.session.hyp.handle_exit()
+            result = hyp.handle_exit()
         except OverrideUnderflow as exc:
             divergences.append(Divergence("read_underflow", str(exc)))
         vmcs.writes = None
-        mask = cov.end_frame()
+        mask = hyp.end_frame()
         leftover = sum(len(q) for q in self.queues.values() if q)
         if leftover:
             names = ", ".join(
-                FIELD_TABLE[enc].name for enc, q in sorted(self.queues.items()) if q
+                FIELD_TABLE[enc] for enc, q in sorted(self.queues.items()) if q
             )
             divergences.append(
                 Divergence("read_leftover", f"{leftover} unread values: {names}")
@@ -177,8 +175,8 @@ class Replayer:
             if rec == rep:
                 matched += 1
             else:
-                rec_name = FIELD_TABLE[rec[0]].name
-                rep_name = FIELD_TABLE[rep[0]].name
+                rec_name = FIELD_TABLE[rec[0]]
+                rep_name = FIELD_TABLE[rep[0]]
                 divergences.append(Divergence(
                     "write_value",
                     f"write {pos}: recorded {rec_name}={rec[1]:#x},"
@@ -332,13 +330,12 @@ def measure_throughput(n_exits: int) -> tuple[ThroughputReport, int]:
     """Actually drive n timer exits through an idle dummy VM and count cycles;
     also return the blocks they covered."""
     session = Session()
-    session.power_on()
     op = GuestOp(ExitReason.PREEMPTION_TIMER, 0)
     for _ in range(n_exits):
         result = session.drive(op)
         if result.crash is not None:
             raise RuntimeError(f"dummy exit failed: {result.crash}")
-    return throughput(n_exits, session.virtual_clock), session.hyp.cov.union_mask
+    return throughput(n_exits, session.virtual_clock), session.hyp.union_mask
 
 
 def speedup(record_cycles: int, replay_cycles: int) -> float:

@@ -1,4 +1,5 @@
-"""Run loop tying a guest VM to the hypervisor, plus snapshots and noise.
+"""The vCPU (a VMCS, a register file, the hypervisor), its exit loop, snapshots
+and noise.
 
 The session owns the cycle ledger. Per exit the virtual clock advances by
 guest compute time, the exit's base cost, and (only while recording) the
@@ -15,7 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .guest import GuestOp, GuestProgram, GuestVm, PROFILES, boot_prologue
+from .guest import (
+    GuestOp,
+    GuestProgram,
+    PROFILES,
+    apply_post,
+    boot_prologue,
+    power_on,
+    raise_exit,
+)
 from .hypervisor import (
     B_ASYNC_LAPIC_TIMER,
     B_ASYNC_PIC_RAISE,
@@ -28,8 +37,10 @@ from .hypervisor import (
 from .rng import SplitMix64
 from .vmx import (
     ExitReason,
+    GprFile,
     LaunchState,
     VM_EXIT_INTERRUPTION_INFO,
+    Vmcs,
 )
 
 CYCLES_PER_SECOND = 3_500_000_000
@@ -101,16 +112,17 @@ class NoiseInjector:
 
 
 class Session:
+    """A powered-on vCPU at the reset vector, and its hypervisor."""
+
     def __init__(self) -> None:
-        self.vm = GuestVm()
-        self.hyp = Hypervisor(self.vm.vmcs, self.vm.gprs)
+        self.vmcs = Vmcs()
+        self.gprs = GprFile()
+        power_on(self.vmcs)
+        self.hyp = Hypervisor(self.vmcs, self.gprs)
         self.virtual_clock = 0
         self.total_exits = 0
         self.capture: list[ExitFrame] | None = None   # recorded frames, or None
         self.noise: NoiseInjector | None = None
-
-    def power_on(self) -> None:
-        self.vm.power_on()
 
     def auto_boot(self, seed: int) -> None:
         """Bring a non-boot workload's guest to protected-paged mode.
@@ -126,17 +138,17 @@ class Session:
             raise RuntimeError(f"auto boot crashed: {result.crash.detail}")
 
     def drive(self, op: GuestOp, async_block: int | None = None) -> DispatchResult:
-        self.vm.raise_exit(op)
+        vmcs, hyp = self.vmcs, self.hyp
+        raise_exit(vmcs, self.gprs, op)
         capture = self.capture
         if capture is not None:
-            gprs = tuple(self.vm.gprs.regs)
-            vmcs = self.vm.vmcs
+            gprs = tuple(self.gprs.regs)
             vmcs.reads, vmcs.writes = [], []
-        self.hyp.cov.begin_frame()
+        hyp.begin_frame()
         if async_block is not None:
-            self.hyp.cov.hit(async_block)
-        result = self.hyp.handle_exit()
-        frame_mask = self.hyp.cov.end_frame()
+            hyp.hit(async_block)
+        result = hyp.handle_exit()
+        frame_mask = hyp.end_frame()
         overhead = recording_overhead(result.base_cost) if capture is not None else 0
         cycle_cost = op.compute_cycles + result.base_cost + overhead
         self.virtual_clock += cycle_cost
@@ -146,7 +158,7 @@ class Session:
                                      tuple(vmcs.reads), tuple(vmcs.writes)))
             vmcs.reads = vmcs.writes = None
         if result.outcome is ExitOutcome.RESUME:
-            self.vm.apply_post(op)
+            apply_post(vmcs, op)
         return result
 
     def run(self, ops: Iterable[GuestOp]) -> SessionResult:
@@ -170,22 +182,21 @@ class Session:
 
     def snapshot(self) -> SessionSnapshot:
         return SessionSnapshot(
-            vmcs_values=dict(self.vm.vmcs.values),
-            launch_state=int(self.vm.vmcs.launch_state),
-            gprs=list(self.vm.gprs.regs),
+            vmcs_values=dict(self.vmcs.values),
+            launch_state=int(self.vmcs.launch_state),
+            gprs=list(self.gprs.regs),
             tsc=self.hyp.tsc,
-            coverage_union=self.hyp.cov.union_mask,
+            coverage_union=self.hyp.union_mask,
             virtual_clock=self.virtual_clock,
             total_exits=self.total_exits,
         )
 
     def restore(self, snap: SessionSnapshot) -> None:
-        self.vm.vmcs.values = dict(snap.vmcs_values)
-        self.vm.vmcs.launch_state = LaunchState(snap.launch_state)
-        self.vm.gprs.regs = list(snap.gprs)
+        self.vmcs.values = dict(snap.vmcs_values)
+        self.vmcs.launch_state = LaunchState(snap.launch_state)
+        self.gprs.regs = list(snap.gprs)
         self.hyp.tsc = snap.tsc
-        self.hyp.cov.union_mask = snap.coverage_union
-        self.hyp.cov.frame_mask = 0
+        self.hyp.union_mask = snap.coverage_union
         self.virtual_clock = snap.virtual_clock
         self.total_exits = snap.total_exits
 
@@ -194,7 +205,6 @@ def prepare_session(profile_name: str, workload_seed: int, n_exits: int) -> tupl
     """Powered-on session at the point recording may begin, plus its script."""
     profile = PROFILES[profile_name]
     session = Session()
-    session.power_on()
     if not profile.boot:
         session.auto_boot(workload_seed)
     program = GuestProgram(profile, workload_seed, n_exits)

@@ -1,15 +1,15 @@
 """Core VT-x state model: VMCS fields, GPR file, CPU modes, VM-entry checks.
 
 The model is deliberately flat. A VMCS is a map from compact one-byte field
-encodings to 64-bit values plus a launch-state machine; every architectural
-rule the rest of the package relies on (field access classes, CR0 mode
-classification, entry validity) is a pure function over that map.
+encodings to 64-bit values plus a launch-state machine. The rules the rest
+of the package relies on live here once: the read-only field set, and CR0
+mode classification and entry validity as pure functions over that map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 from .rng import MASK64
 
@@ -64,26 +64,6 @@ def reason_name(reason: int) -> str:
         return ExitReason(reason).name
     except ValueError:
         return f"REASON_{reason}"
-
-
-class FieldArea(Enum):
-    GUEST_STATE = "GuestState"
-    HOST_STATE = "HostState"
-    CONTROL = "Control"
-    EXIT_INFO = "ExitInfo"
-
-
-class FieldAccess(Enum):
-    READ_WRITE = "ReadWrite"
-    READ_ONLY = "ReadOnly"
-
-
-@dataclass(frozen=True)
-class VmcsFieldSpec:
-    encoding: int
-    name: str
-    area: FieldArea
-    access: FieldAccess
 
 
 # One-byte compact encoding space; seed entries carry the encoding in a single
@@ -142,72 +122,69 @@ IDT_VECTORING_INFO = 106
 VM_INSTRUCTION_ERROR = 107
 
 
-def _build_field_table() -> dict[int, VmcsFieldSpec]:
-    guest = [
-        (GUEST_CR0, "GUEST_CR0"),
-        (GUEST_CR3, "GUEST_CR3"),
-        (GUEST_CR4, "GUEST_CR4"),
-        (GUEST_RIP, "GUEST_RIP"),
-        (GUEST_RSP, "GUEST_RSP"),
-        (GUEST_RFLAGS, "GUEST_RFLAGS"),
-        (GUEST_CS_SELECTOR, "GUEST_CS_SELECTOR"),
-        (GUEST_CS_BASE, "GUEST_CS_BASE"),
-        (GUEST_CS_LIMIT, "GUEST_CS_LIMIT"),
-        (GUEST_DS_SELECTOR, "GUEST_DS_SELECTOR"),
-        (GUEST_DS_BASE, "GUEST_DS_BASE"),
-        (GUEST_DS_LIMIT, "GUEST_DS_LIMIT"),
-        (GUEST_SS_SELECTOR, "GUEST_SS_SELECTOR"),
-        (GUEST_SS_BASE, "GUEST_SS_BASE"),
-        (GUEST_SS_LIMIT, "GUEST_SS_LIMIT"),
-        (GUEST_GDTR_BASE, "GUEST_GDTR_BASE"),
-        (GUEST_GDTR_LIMIT, "GUEST_GDTR_LIMIT"),
-        (GUEST_LDTR_BASE, "GUEST_LDTR_BASE"),
-        (GUEST_LDTR_LIMIT, "GUEST_LDTR_LIMIT"),
-        (GUEST_ACTIVITY_STATE, "GUEST_ACTIVITY_STATE"),
-    ]
-    host = [
-        (HOST_CR0, "HOST_CR0"),
-        (HOST_CR3, "HOST_CR3"),
-        (HOST_RIP, "HOST_RIP"),
-        (HOST_RSP, "HOST_RSP"),
-    ]
-    control = [
-        (CR0_GUEST_HOST_MASK, "CR0_GUEST_HOST_MASK"),
-        (CR0_READ_SHADOW, "CR0_READ_SHADOW"),
-        (CR4_GUEST_HOST_MASK, "CR4_GUEST_HOST_MASK"),
-        (CR4_READ_SHADOW, "CR4_READ_SHADOW"),
-        (TSC_OFFSET, "TSC_OFFSET"),
-        (VMX_PREEMPTION_TIMER_VALUE, "VMX_PREEMPTION_TIMER_VALUE"),
-        (PIN_BASED_CONTROLS, "PIN_BASED_CONTROLS"),
-        (PROC_BASED_CONTROLS, "PROC_BASED_CONTROLS"),
-        (VM_ENTRY_CONTROLS, "VM_ENTRY_CONTROLS"),
-        (VM_EXIT_CONTROLS, "VM_EXIT_CONTROLS"),
-        (EXCEPTION_BITMAP, "EXCEPTION_BITMAP"),
-    ]
-    exit_info = [
-        (EXIT_REASON, "EXIT_REASON"),
-        (EXIT_QUALIFICATION, "EXIT_QUALIFICATION"),
-        (GUEST_LINEAR_ADDRESS, "GUEST_LINEAR_ADDRESS"),
-        (GUEST_PHYSICAL_ADDRESS, "GUEST_PHYSICAL_ADDRESS"),
-        (VM_EXIT_INSTRUCTION_LEN, "VM_EXIT_INSTRUCTION_LEN"),
-        (VM_EXIT_INTERRUPTION_INFO, "VM_EXIT_INTERRUPTION_INFO"),
-        (IDT_VECTORING_INFO, "IDT_VECTORING_INFO"),
-        (VM_INSTRUCTION_ERROR, "VM_INSTRUCTION_ERROR"),
-    ]
-    table: dict[int, VmcsFieldSpec] = {}
-    for encs, area, access in (
-        (guest, FieldArea.GUEST_STATE, FieldAccess.READ_WRITE),
-        (host, FieldArea.HOST_STATE, FieldAccess.READ_WRITE),
-        (control, FieldArea.CONTROL, FieldAccess.READ_WRITE),
-        (exit_info, FieldArea.EXIT_INFO, FieldAccess.READ_ONLY),
-    ):
-        for enc, name in encs:
-            assert 0 <= enc < ENCODING_SPACE
-            table[enc] = VmcsFieldSpec(enc, name, area, access)
-    return table
+# Field names by area, each area and each field in encoding order.
+_AREAS: dict[str, dict[int, str]] = {
+    "GuestState": {
+        GUEST_CR0: "GUEST_CR0",
+        GUEST_CR3: "GUEST_CR3",
+        GUEST_CR4: "GUEST_CR4",
+        GUEST_RIP: "GUEST_RIP",
+        GUEST_RSP: "GUEST_RSP",
+        GUEST_RFLAGS: "GUEST_RFLAGS",
+        GUEST_CS_SELECTOR: "GUEST_CS_SELECTOR",
+        GUEST_CS_BASE: "GUEST_CS_BASE",
+        GUEST_CS_LIMIT: "GUEST_CS_LIMIT",
+        GUEST_DS_SELECTOR: "GUEST_DS_SELECTOR",
+        GUEST_DS_BASE: "GUEST_DS_BASE",
+        GUEST_DS_LIMIT: "GUEST_DS_LIMIT",
+        GUEST_SS_SELECTOR: "GUEST_SS_SELECTOR",
+        GUEST_SS_BASE: "GUEST_SS_BASE",
+        GUEST_SS_LIMIT: "GUEST_SS_LIMIT",
+        GUEST_GDTR_BASE: "GUEST_GDTR_BASE",
+        GUEST_GDTR_LIMIT: "GUEST_GDTR_LIMIT",
+        GUEST_LDTR_BASE: "GUEST_LDTR_BASE",
+        GUEST_LDTR_LIMIT: "GUEST_LDTR_LIMIT",
+        GUEST_ACTIVITY_STATE: "GUEST_ACTIVITY_STATE",
+    },
+    "HostState": {
+        HOST_CR0: "HOST_CR0",
+        HOST_CR3: "HOST_CR3",
+        HOST_RIP: "HOST_RIP",
+        HOST_RSP: "HOST_RSP",
+    },
+    "Control": {
+        CR0_GUEST_HOST_MASK: "CR0_GUEST_HOST_MASK",
+        CR0_READ_SHADOW: "CR0_READ_SHADOW",
+        CR4_GUEST_HOST_MASK: "CR4_GUEST_HOST_MASK",
+        CR4_READ_SHADOW: "CR4_READ_SHADOW",
+        TSC_OFFSET: "TSC_OFFSET",
+        VMX_PREEMPTION_TIMER_VALUE: "VMX_PREEMPTION_TIMER_VALUE",
+        PIN_BASED_CONTROLS: "PIN_BASED_CONTROLS",
+        PROC_BASED_CONTROLS: "PROC_BASED_CONTROLS",
+        VM_ENTRY_CONTROLS: "VM_ENTRY_CONTROLS",
+        VM_EXIT_CONTROLS: "VM_EXIT_CONTROLS",
+        EXCEPTION_BITMAP: "EXCEPTION_BITMAP",
+    },
+    "ExitInfo": {
+        EXIT_REASON: "EXIT_REASON",
+        EXIT_QUALIFICATION: "EXIT_QUALIFICATION",
+        GUEST_LINEAR_ADDRESS: "GUEST_LINEAR_ADDRESS",
+        GUEST_PHYSICAL_ADDRESS: "GUEST_PHYSICAL_ADDRESS",
+        VM_EXIT_INSTRUCTION_LEN: "VM_EXIT_INSTRUCTION_LEN",
+        VM_EXIT_INTERRUPTION_INFO: "VM_EXIT_INTERRUPTION_INFO",
+        IDT_VECTORING_INFO: "IDT_VECTORING_INFO",
+        VM_INSTRUCTION_ERROR: "VM_INSTRUCTION_ERROR",
+    },
+}
 
+# Every assigned field's name by encoding, in encoding order.
+FIELD_TABLE: dict[int, str] = {
+    enc: name for fields in _AREAS.values() for enc, name in fields.items()
+}
 
-FIELD_TABLE: dict[int, VmcsFieldSpec] = _build_field_table()
+# The exit-information area: the CPU fills it on exit and handler code may only
+# read it. Every read-only test in the package asks this set.
+READ_ONLY_FIELDS = frozenset(_AREAS["ExitInfo"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +205,10 @@ def fnv1a64(data: bytes) -> int:
 def field_table_csv() -> bytes:
     """Canonical field table: UTF-8, header row, LF endings, encoding order."""
     lines = ["compact_encoding,name,area,access"]
-    for enc in sorted(FIELD_TABLE):
-        s = FIELD_TABLE[enc]
-        lines.append(f"{s.encoding},{s.name},{s.area.value},{s.access.value}")
+    for area, fields in _AREAS.items():
+        for enc, name in fields.items():
+            access = "ReadOnly" if enc in READ_ONLY_FIELDS else "ReadWrite"
+            lines.append(f"{enc},{name},{area},{access}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -267,7 +245,6 @@ class GprId(IntEnum):
 
 
 GPR_COUNT = 15
-GPR_NAMES = tuple(g.name for g in GprId)
 
 
 class GprFile:
@@ -279,10 +256,8 @@ class GprFile:
 
     __slots__ = ("regs", "reads")
 
-    def __init__(self, values=None) -> None:
-        self.regs: list[int] = [0] * GPR_COUNT if values is None else list(values)
-        if len(self.regs) != GPR_COUNT:
-            raise ValueError(f"expected {GPR_COUNT} registers")
+    def __init__(self) -> None:
+        self.regs: list[int] = [0] * GPR_COUNT
         self.reads: set[int] | None = None    # registers read, or None
 
     def read(self, gpr: int) -> int:
@@ -292,10 +267,6 @@ class GprFile:
 
     def write(self, gpr: int, value: int) -> None:
         self.regs[gpr] = value & MASK64
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{n}={v:#x}" for n, v in zip(GPR_NAMES, self.regs))
-        return f"GprFile({pairs})"
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +291,7 @@ class UnknownField(VmxError):
 
 class ReadOnlyField(VmxError):
     def __init__(self, encoding: int) -> None:
-        super().__init__(f"vmwrite to read-only field {FIELD_TABLE[encoding].name}")
+        super().__init__(f"vmwrite to read-only field {FIELD_TABLE[encoding]}")
         self.encoding = encoding
 
 
@@ -333,7 +304,7 @@ class Vmcs:
 
     vmread/vmwrite are the handler-facing operations; while `reads`/`writes`
     is a list, each appends its (encoding, value) there. hw_set/hw_get are the
-    context-save/machinery path and bypass both the logs and the access class,
+    context-save/machinery path and bypass both the logs and the read-only rule,
     the way hardware does.
     """
 
@@ -365,10 +336,9 @@ class Vmcs:
 
     # handler-facing access --------------------------------------------------
     def vmread(self, encoding: int) -> int:
-        spec = FIELD_TABLE.get(encoding)
-        if spec is None:
+        if encoding not in FIELD_TABLE:
             raise UnknownField(encoding)
-        if spec.access is FieldAccess.READ_ONLY and self.read_override is not None:
+        if encoding in READ_ONLY_FIELDS and self.read_override is not None:
             value = self.read_override(encoding)
         else:
             value = self.values[encoding]
@@ -377,10 +347,9 @@ class Vmcs:
         return value
 
     def vmwrite(self, encoding: int, value: int) -> None:
-        spec = FIELD_TABLE.get(encoding)
-        if spec is None:
+        if encoding not in FIELD_TABLE:
             raise UnknownField(encoding)
-        if spec.access is FieldAccess.READ_ONLY:
+        if encoding in READ_ONLY_FIELDS:
             raise ReadOnlyField(encoding)
         value &= MASK64
         self.values[encoding] = value

@@ -575,6 +575,9 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
         ("select", {"index": True}, "index"),
         ("mutants", True, "mutants"),
         ("rng_seed", False, "rng_seed"),
+        ("select", {"index": 2.7}, 2.7),
+        ("mutants", 5.9, 5.9),
+        ("rng_seed", 1.5, 1.5),
     ],
     ids=["select-int", "reason-null", "reason-list", "mutants-list",
          "rng-seed-null", "trace-int", "artifacts-int", "reason-unknown-code",
@@ -582,7 +585,8 @@ def test_fuzz_config_that_is_not_an_object_is_a_format_error(config, tmp_path, c
          "rng-seed-2-64", "rng-seed-negative", "config-too-deep",
          "mutants-1e300", "mutants-2-32", "mutants-zero",
          "index-past-end", "index-negative", "index-1e300", "rng-seed-1e300",
-         "index-bool", "mutants-bool", "rng-seed-bool"],
+         "index-bool", "mutants-bool", "rng-seed-bool", "index-fraction",
+         "mutants-fraction", "rng-seed-fraction"],
 )
 def test_fuzz_mistyped_config_value_is_a_format_error(
     key, value, named, workdir, tmp_path, capsys

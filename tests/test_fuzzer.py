@@ -327,7 +327,7 @@ def test_flipping_an_unread_register_replays_to_the_baseline(profile):
     outcome = _recorded(profile, 7, 300)
     trace = outcome.trace
     replayer = Replayer(outcome.start_snapshot)
-    session, gprs = replayer.session, replayer.session.vm.gprs
+    session, gprs = replayer.session, replayer.session.gprs
     flips = 0
     for i, frame in enumerate(trace.frames):
         before = session.snapshot()
@@ -355,13 +355,13 @@ def test_register_read_log_is_off_outside_the_baseline(monkeypatch):
 
     def keeping_prepare_session(*args):
         session, program = prepare_session(*args)
-        files.append(session.vm.gprs)
+        files.append(session.gprs)
         return session, program
 
     class KeptReplayer(Replayer):
         def __init__(self, snapshot=None):
             super().__init__(snapshot)
-            files.append(self.session.vm.gprs)
+            files.append(self.session.gprs)
 
     monkeypatch.setattr(recorder, "prepare_session", keeping_prepare_session)
     monkeypatch.setattr(fuzzer, "Replayer", KeptReplayer)
@@ -509,7 +509,6 @@ def test_run_test_case_validates_its_arguments():
 def test_mismatched_snapshot_fails_setup():
     outcome = _recorded()
     stranger = Session()
-    stranger.power_on()
     with pytest.raises(CampaignSetupError, match="prefix replay"):
         run_test_case(outcome.trace, stranger.snapshot(), 5, AREA_VMCS,
                       mutants=10)

@@ -9,12 +9,13 @@ from vmxrr.guest import (
     PROT_ENTRY_POINT,
     GuestOp,
     GuestProgram,
-    GuestVm,
     _order_wakeups,
     boot_prologue,
+    raise_exit,
     workload_profiles_csv,
 )
 from vmxrr.rng import SplitMix64
+from vmxrr.session import Session
 from vmxrr.vmx import (
     CR0_PE,
     CR0_PG,
@@ -213,24 +214,23 @@ def test_idle_program_mostly_wakes_after_hlt():
 # ---------------------------------------------------------------------------
 
 def test_power_on_lands_at_the_reset_vector():
-    vm = GuestVm()
-    vm.power_on()
-    assert vm.vmcs.launch_state is LaunchState.ACTIVE_CURRENT_LAUNCHED
-    assert vm.vmcs.hw_get(GUEST_RIP) == 0xFFF0
-    assert vm.vmcs.hw_get(GUEST_CS_SELECTOR) == 0xF000
-    assert classify_cr0_mode(guest_cr0_view(vm.vmcs)) is CpuMode.MODE1
+    vmcs = Session().vmcs
+    assert vmcs.launch_state is LaunchState.ACTIVE_CURRENT_LAUNCHED
+    assert vmcs.hw_get(GUEST_RIP) == 0xFFF0
+    assert vmcs.hw_get(GUEST_CS_SELECTOR) == 0xF000
+    assert classify_cr0_mode(guest_cr0_view(vmcs)) is CpuMode.MODE1
 
 
 def test_raise_exit_resets_stale_exit_info():
-    vm = GuestVm()
-    vm.power_on()
+    session = Session()
+    vmcs = session.vmcs
     io = GuestOp(R.IO_INSTRUCTION, 100, exit_fields={EXIT_QUALIFICATION: 0x21 << 16})
-    vm.raise_exit(io)
-    assert vm.vmcs.hw_get(EXIT_QUALIFICATION) == 0x21 << 16
-    vm.raise_exit(GuestOp(R.RDTSC, 100, gpr_values={GprId.RCX: 0}))
-    assert vm.vmcs.hw_get(EXIT_REASON) == R.RDTSC
-    assert vm.vmcs.hw_get(VM_EXIT_INSTRUCTION_LEN) == INSTR_LEN[R.RDTSC]
-    assert vm.vmcs.hw_get(EXIT_QUALIFICATION) == 0
+    raise_exit(vmcs, session.gprs, io)
+    assert vmcs.hw_get(EXIT_QUALIFICATION) == 0x21 << 16
+    raise_exit(vmcs, session.gprs, GuestOp(R.RDTSC, 100, gpr_values={GprId.RCX: 0}))
+    assert vmcs.hw_get(EXIT_REASON) == R.RDTSC
+    assert vmcs.hw_get(VM_EXIT_INSTRUCTION_LEN) == INSTR_LEN[R.RDTSC]
+    assert vmcs.hw_get(EXIT_QUALIFICATION) == 0
 
 
 def test_instruction_lengths_only_for_synchronous_exits():

@@ -97,12 +97,12 @@ def test_replay_clock_counts_base_costs_only():
 def test_nothing_is_logged_when_nothing_records():
     session, _ = prepare_session("CpuBound", 5, 10)    # auto_boot drives six exits
     assert session.total_exits == 6
-    assert session.vm.vmcs.reads is None and session.vm.vmcs.writes is None
+    assert session.vmcs.reads is None and session.vmcs.writes is None
     outcome = _recorded()
     replayer = Replayer(outcome.start_snapshot)
     assert replayer.replay_trace(outcome.trace).clean
-    assert replayer.session.vm.vmcs.reads is None
-    assert replayer.session.vm.vmcs.writes is None
+    assert replayer.session.vmcs.reads is None
+    assert replayer.session.vmcs.writes is None
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +121,14 @@ def test_inject_seed_routes_fields_by_access():
         ((EXIT_REASON, 5), (EXIT_REASON, 7), (GUEST_RIP, 0x42)),
     )
     rep.inject_seed(frame)
-    vmcs = rep.session.vm.vmcs
+    vmcs = rep.session.vmcs
     assert vmcs.hw_get(GUEST_RIP) == 0x42              # read-write: set now
     assert list(rep.queues[EXIT_REASON]) == [5, 7]     # read-only: queued
     assert vmcs.vmread(EXIT_REASON) == 5               # FIFO order
     assert vmcs.vmread(EXIT_REASON) == 7
     with pytest.raises(OverrideUnderflow, match="EXIT_REASON"):
         vmcs.vmread(EXIT_REASON)
-    assert rep.session.vm.gprs.read(3) == 30
+    assert rep.session.gprs.read(3) == 30
 
 
 def test_inject_seed_validates_the_register_block():
@@ -160,7 +160,7 @@ def test_missing_read_aborts_with_underflow():
     assert fr.result is None
     assert fr.crash is None
     assert fr.divergences[0] == Divergence(
-        "read_underflow", f"vmread of {FIELD_TABLE[dropped].name} past the recorded reads"
+        "read_underflow", f"vmread of {FIELD_TABLE[dropped]} past the recorded reads"
     )
 
 

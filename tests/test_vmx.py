@@ -26,10 +26,10 @@ from vmxrr.vmx import (
     GUEST_CS_SELECTOR,
     GUEST_GDTR_LIMIT,
     GUEST_RIP,
+    READ_ONLY_FIELDS,
     VM_INSTRUCTION_ERROR,
     CpuMode,
     ExitReason,
-    FieldAccess,
     GprFile,
     GprId,
     LaunchState,
@@ -151,10 +151,9 @@ def test_unknown_encoding_rejected():
 def test_read_only_fields_reject_vmwrite():
     vmcs = Vmcs()
     vmcs.vmclear()
-    for enc, spec in FIELD_TABLE.items():
-        if spec.access is FieldAccess.READ_ONLY:
-            with pytest.raises(ReadOnlyField, match=f"^vmwrite to read-only field {spec.name}$"):
-                vmcs.vmwrite(enc, 1)
+    for enc in READ_ONLY_FIELDS:
+        with pytest.raises(ReadOnlyField, match=f"^vmwrite to read-only field {FIELD_TABLE[enc]}$"):
+            vmcs.vmwrite(enc, 1)
     # hw_set is the hardware path and may set anything.
     vmcs.hw_set(EXIT_REASON, 10)
     assert vmcs.vmread(EXIT_REASON) == 10
